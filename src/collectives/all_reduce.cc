@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 
+#include "collectives/halving_doubling.h"
 #include "common/check.h"
 #include "common/math_util.h"
 #include "sim/partitioned_simulator.h"
@@ -13,14 +16,6 @@
 namespace tpu::coll {
 namespace {
 
-int PosIn(const std::vector<topo::ChipId>& ring, topo::ChipId chip) {
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    if (ring[i] == chip) return static_cast<int>(i);
-  }
-  TPU_CHECK(false) << "chip " << chip << " not on ring";
-  return -1;
-}
-
 std::vector<float*> DataFor(const std::vector<float*>& chip_buffers,
                             const std::vector<topo::ChipId>& order) {
   std::vector<float*> data;
@@ -28,6 +23,88 @@ std::vector<float*> DataFor(const std::vector<float*>& chip_buffers,
   data.reserve(order.size());
   for (topo::ChipId chip : order) data.push_back(chip_buffers[chip]);
   return data;
+}
+
+void CheckSummationConfig(const topo::MeshTopology& topo,
+                          const GradientSummationConfig& config,
+                          const std::vector<float*>& chip_buffers) {
+  TPU_CHECK_GT(config.elems, 0);
+  TPU_CHECK_GT(config.model_parallel_stride, 0);
+  TPU_CHECK_EQ(topo.size_x() % config.model_parallel_stride, 0)
+      << "model-parallel groups must tile the X dimension";
+  if (!chip_buffers.empty()) {
+    TPU_CHECK_EQ(static_cast<int>(chip_buffers.size()), topo.num_chips());
+  }
+}
+
+// The 2-D schedule's ring lists over `range`, plus every chip's owned
+// element count after both reduce-scatters (the shard its weight update
+// runs on).
+struct TwoDRings {
+  std::shared_ptr<std::vector<RingSpec>> y =
+      std::make_shared<std::vector<RingSpec>>();
+  std::shared_ptr<std::vector<RingSpec>> x =
+      std::make_shared<std::vector<RingSpec>>();
+  std::vector<std::int64_t> owned_elems;
+};
+
+// Y: one torus ring per column, x ascending. X: per row (y ascending) and
+// stride offset, one ring per non-empty sub-range the row owns after the Y
+// reduce-scatter; rings hop over model-parallel peers when stride > 1. The
+// construction order fixes event creation order, and plan lowering
+// (plan/schedule.cc) enumerates its groups the same way. `tag` is spliced
+// into the trace labels ("Y <tag>x=3").
+TwoDRings BuildTwoDRings(const topo::MeshTopology& topo, const Range& range,
+                         const GradientSummationConfig& config,
+                         const std::vector<float*>& chip_buffers,
+                         const std::string& tag) {
+  const bool labeled = trace::CurrentTrace() != nullptr;
+  const int stride = config.model_parallel_stride;
+  TwoDRings rings;
+  rings.owned_elems.assign(topo.num_chips(), 0);
+  for (int x = 0; x < topo.size_x(); ++x) {
+    RingSpec spec;
+    spec.order = topo.RingAlong(topo::Dim::kY, topo.ChipAt({x, 0}));
+    spec.data = DataFor(chip_buffers, spec.order);
+    spec.range = range;
+    if (labeled) spec.label = "Y " + tag + "x=" + std::to_string(x);
+    rings.y->push_back(std::move(spec));
+  }
+  // Every column shares the Y ring layout, a function of y alone.
+  const std::vector<topo::ChipId>& y_ring0 = rings.y->front().order;
+  const int ny = static_cast<int>(y_ring0.size());
+  std::vector<int> y_rank(topo.size_y());
+  for (int rank = 0; rank < ny; ++rank) {
+    y_rank[topo.CoordOf(y_ring0[rank]).y] = rank;
+  }
+  for (int y = 0; y < topo.size_y(); ++y) {
+    const std::vector<Range> y_owned =
+        OwnedAfterReduceScatter(range, ny, y_rank[y], config.collective);
+    for (int offset = 0; offset < stride; ++offset) {
+      const std::vector<topo::ChipId> order = topo.StridedRingAlong(
+          topo::Dim::kX, topo.ChipAt({offset, y}), stride);
+      const int nx = static_cast<int>(order.size());
+      for (const Range& owned : y_owned) {
+        if (owned.size() == 0) continue;
+        for (int rank = 0; rank < nx; ++rank) {
+          for (const Range& shard :
+               OwnedAfterReduceScatter(owned, nx, rank, config.collective)) {
+            rings.owned_elems[order[rank]] += shard.size();
+          }
+        }
+        RingSpec spec;
+        spec.data = DataFor(chip_buffers, order);
+        spec.order = order;
+        spec.range = owned;
+        if (labeled) {
+          spec.label = "X " + tag + "y=" + std::to_string(y);
+          if (stride > 1) spec.label += " g" + std::to_string(offset);
+        }
+        rings.x->push_back(std::move(spec));
+      }
+    }
+  }
+  return rings;
 }
 
 }  // namespace
@@ -85,132 +162,52 @@ std::vector<topo::ChipId> SnakeRingOverMesh(const topo::MeshTopology& topo) {
   return ring;
 }
 
-GradientSummationResult TwoDGradientSummation(
-    net::Network& network, const GradientSummationConfig& config,
-    std::vector<float*> chip_buffers) {
+SummationRun RunSummationStages(
+    net::Network& network, const SummationSchedule& schedule,
+    const CollectiveOptions& options,
+    const std::function<SimTime(std::int64_t owned_elems)>&
+        shard_update_seconds,
+    const PhaseDeadlineConfig& deadline) {
   const topo::MeshTopology& topo = network.topology();
-  TPU_CHECK_GT(config.elems, 0);
-  TPU_CHECK_GT(config.model_parallel_stride, 0);
-  TPU_CHECK_EQ(topo.size_x() % config.model_parallel_stride, 0)
-      << "model-parallel groups must tile the X dimension";
-  if (!chip_buffers.empty()) {
-    TPU_CHECK_EQ(static_cast<int>(chip_buffers.size()), topo.num_chips());
-  }
-
-  GradientSummationResult result;
-  const Range full{0, config.elems};
-
+  const std::vector<SummationStage>& stages = schedule.stages;
+  const int ns = static_cast<int>(stages.size());
+  const int update_after = schedule.update_after;
+  TPU_CHECK_GE(update_after, 0);
+  TPU_CHECK_LT(update_after, ns - 1);
+  TPU_CHECK_EQ(static_cast<int>(schedule.owned_elems.size()),
+               topo.num_chips());
   sim::Simulator& simulator = network.simulator();
-  trace::TraceRecorder* recorder = trace::CurrentTrace();
+  const bool monitored = deadline.enabled();
 
-  // Phase 1: reduce-scatter along Y (one torus ring per column, all
-  // concurrent). The Y ring ordering is a function of the y coordinate only,
-  // so every column shares the same rank layout.
-  std::vector<RingSpec> y_rings;
-  y_rings.reserve(topo.size_x());
-  for (int x = 0; x < topo.size_x(); ++x) {
-    std::vector<topo::ChipId> order =
-        topo.RingAlong(topo::Dim::kY, topo.ChipAt({x, 0}));
-    RingSpec spec;
-    spec.data = DataFor(chip_buffers, order);
-    spec.order = std::move(order);
-    spec.range = full;
-    if (recorder != nullptr) spec.label = "Y x=" + std::to_string(x);
-    y_rings.push_back(std::move(spec));
-  }
-  // Rank of each row within the (shared) Y ring layout.
-  const std::vector<topo::ChipId> y_ring0 =
-      topo.RingAlong(topo::Dim::kY, topo.ChipAt({0, 0}));
-  std::vector<int> y_rank(topo.size_y());
-  for (int y = 0; y < topo.size_y(); ++y) {
-    y_rank[y] = PosIn(y_ring0, topo.ChipAt({0, y}));
-  }
-
-  // Phase 2: reduce-scatter along X over each Y-owned sub-range. Rings hop
-  // over model-parallel peers when stride > 1.
-  const int ny = static_cast<int>(y_ring0.size());
-  std::vector<RingSpec> x_rings;
-  for (int y = 0; y < topo.size_y(); ++y) {
-    const std::vector<Range> y_owned =
-        OwnedAfterReduceScatter(full, ny, y_rank[y], config.collective);
-    for (int offset = 0; offset < config.model_parallel_stride; ++offset) {
-      std::vector<topo::ChipId> order = topo.StridedRingAlong(
-          topo::Dim::kX, topo.ChipAt({offset, y}),
-          config.model_parallel_stride);
-      for (const Range& range : y_owned) {
-        if (range.size() == 0) continue;
-        RingSpec spec;
-        spec.data = DataFor(chip_buffers, order);
-        spec.order = order;
-        spec.range = range;
-        if (recorder != nullptr) {
-          spec.label = "X y=" + std::to_string(y);
-          if (config.model_parallel_stride > 1) {
-            spec.label += " g" + std::to_string(offset);
-          }
-        }
-        x_rings.push_back(std::move(spec));
-      }
-    }
-  }
-  // Ownership after both reduce phases, per chip.
-  auto owned_elems_of = [&](topo::ChipId chip) {
-    const topo::Coord c = topo.CoordOf(chip);
-    const std::vector<Range> y_owned =
-        OwnedAfterReduceScatter(full, ny, y_rank[c.y], config.collective);
-    const std::vector<topo::ChipId> x_ring = topo.StridedRingAlong(
-        topo::Dim::kX, chip, config.model_parallel_stride);
-    const int x_rank = PosIn(x_ring, chip);
-    std::int64_t elems = 0;
-    for (const Range& range : y_owned) {
-      if (range.size() == 0) continue;
-      for (const Range& owned : OwnedAfterReduceScatter(
-               range, static_cast<int>(x_ring.size()), x_rank,
-               config.collective)) {
-        elems += owned.size();
-      }
-    }
-    return elems;
-  };
-
-  for (int chip = 0; chip < topo.num_chips(); ++chip) {
-    result.max_owned_elems =
-        std::max(result.max_owned_elems, owned_elems_of(chip));
-  }
-
-  // The five phases chain through completion callbacks and the simulator
-  // runs once at the end, instead of draining the queue between phases.
-  // Timing is identical when the collective owns the event queue, but this
-  // lets externally scheduled events — armed fault injections and their
-  // healings (fault::FaultInjector) — fire *during* the collective rather
-  // than being absorbed into one phase's drain. Phase boundaries are the
-  // recorded callback timestamps; events left in the queue after the final
-  // all-gather (e.g. pending link healings) do not affect the result.
-  const bool monitored = config.deadline.enabled();
-  const SimTime start = simulator.now();
-  SimTime end_y_rs = -1, end_x_rs = -1, end_update = -1, end_x_ag = -1,
-          end_y_ag = -1;
-  SimTime exp_y_rs = 0, exp_x_rs = 0, exp_x_ag = 0, exp_y_ag = 0;
+  SummationRun run;
+  run.stage_start.assign(ns, -1.0);
+  run.stage_end.assign(ns, -1.0);
+  run.update_end = -1.0;
+  std::vector<SimTime> expected(ns, 0.0);
 
   // Phase labels for the causal observer (critical-path attribution): set
-  // just before each phase schedules its events. Pure observation.
+  // just before each stage schedules its events. Pure observation.
   sim::EventObserver* observer = sim::CurrentEventObserver();
 
   // PDES engagement (sim/partitioned_simulator.h): when the ambient config
-  // asks for >1 worker and the workload qualifies — a multi-pod topology,
-  // time-only (no gradient buffers, so no shared payload state), and no
+  // asks for >1 worker and the run qualifies — a multi-pod topology,
+  // time-only (no payload buffers, so no shared payload state), and no
   // observation session installed (trace/metrics record per-event state on
   // the issuing thread; observed runs and sweeps force the serial path the
   // same way threaded sweeps do) — the run executes on the windowed engine:
-  // pod-confined Y phases drain on parallel partition lanes while the
-  // pod-spanning X phases and the phase chain stay on the global lane.
+  // pod-confined ring stages drain on parallel partition lanes while
+  // pod-spanning stages and the stage chain stay on the global lane.
   // Timestamps, event counts and traffic totals are bit-identical to the
   // serial path at any thread count. threads <= 1 never constructs the
-  // engine, so the legacy path pays exactly one branch here.
+  // engine, so the serial path pays exactly one branch here.
   const sim::PdesConfig& pdes = sim::CurrentPdesConfig();
+  const bool time_only =
+      std::none_of(stages.begin(), stages.end(), [](const SummationStage& s) {
+        return !s.specs->empty() && s.specs->front().has_data();
+      });
   const bool pdes_engaged =
-      pdes.enable && pdes.threads > 1 && topo.num_pods() > 1 &&
-      chip_buffers.empty() && recorder == nullptr && observer == nullptr &&
+      pdes.enable && pdes.threads > 1 && topo.num_pods() > 1 && time_only &&
+      trace::CurrentTrace() == nullptr && observer == nullptr &&
       trace::CurrentMetrics() == nullptr;
   std::unique_ptr<sim::PartitionedSimulator> engine;
   std::unique_ptr<sim::ScopedEngine> engine_scope;
@@ -221,54 +218,53 @@ GradientSummationResult TwoDGradientSummation(
     engine_scope = std::make_unique<sim::ScopedEngine>(engine.get());
   }
 
-  // Declared in reverse chain order; each stage captures its successor by
-  // reference (all outlive the Run() below). Expectations are estimated at
-  // each phase's start so they see the then-current link occupancy.
-  std::function<void()> after_y_ag = [&] { end_y_ag = simulator.now(); };
-  std::function<void()> start_y_ag = [&] {
-    end_x_ag = simulator.now();
+  // Per transition: record the stage end, run the sharded update if it sits
+  // here, estimate the next stage, label it, start it.
+  std::function<void(int)> launch = [&](int i) {
+    if (i == ns) return;
+    const SummationStage& stage = stages[i];
+    run.stage_start[i] = simulator.now();
     if (monitored) {
-      exp_y_ag = ExpectedRingPhaseSeconds(network, y_rings, config.collective);
+      expected[i] =
+          stage.halving_doubling
+              ? ExpectedHdPhaseSeconds(network, *stage.specs, options)
+              : ExpectedRingPhaseSeconds(network, *stage.specs, options);
     }
-    if (observer != nullptr) observer->OnPhase("Y-all-gather");
-    StartAllGather(network, y_rings, config.collective, after_y_ag);
-  };
-  std::function<void()> start_x_ag = [&] {
-    end_update = simulator.now();
-    if (monitored) {
-      exp_x_ag = ExpectedRingPhaseSeconds(network, x_rings, config.collective);
-    }
-    if (observer != nullptr) observer->OnPhase("X-all-gather");
-    StartAllGather(network, x_rings, config.collective, start_y_ag);
-  };
-  // Phase 3: sharded weight update (weight-update sharding, Section 3.2).
-  std::function<void()> start_update = [&] {
-    end_x_rs = simulator.now();
-    if (!config.shard_update_seconds) {
-      start_x_ag();
+    if (observer != nullptr) observer->OnPhase(stage.name);
+    std::function<void()> next = [&, i] {
+      run.stage_end[i] = simulator.now();
+      if (i != update_after || !shard_update_seconds) {
+        launch(i + 1);
+        return;
+      }
+      // Sharded weight update (weight-update sharding, Section 3.2) on
+      // every chip's owned elements; the barrier continues the chain.
+      if (observer != nullptr) observer->OnPhase("sharded-update");
+      auto barrier = std::make_shared<sim::Barrier>(topo.num_chips(), [&, i] {
+        run.update_end = simulator.now();
+        launch(i + 1);
+      });
+      for (int chip = 0; chip < topo.num_chips(); ++chip) {
+        simulator.Schedule(shard_update_seconds(schedule.owned_elems[chip]),
+                           [barrier] { barrier->Notify(); });
+      }
+    };
+    if (stage.specs->empty()) {
+      // Degenerate stage (payload already fully sharded away): complete in
+      // zero time without touching the network.
+      simulator.Schedule(0.0, std::move(next));
       return;
     }
-    if (observer != nullptr) observer->OnPhase("sharded-update");
-    auto barrier =
-        std::make_shared<sim::Barrier>(topo.num_chips(), start_x_ag);
-    for (int chip = 0; chip < topo.num_chips(); ++chip) {
-      simulator.Schedule(config.shard_update_seconds(owned_elems_of(chip)),
-                         [barrier] { barrier->Notify(); });
+    const bool rs = stage.op == SummationStage::Op::kReduceScatter;
+    if (stage.halving_doubling) {
+      rs ? StartHdReduceScatter(network, *stage.specs, options, std::move(next))
+         : StartHdAllGather(network, *stage.specs, options, std::move(next));
+    } else {
+      rs ? StartReduceScatter(network, *stage.specs, options, std::move(next))
+         : StartAllGather(network, *stage.specs, options, std::move(next));
     }
   };
-  std::function<void()> start_x_rs = [&] {
-    end_y_rs = simulator.now();
-    if (monitored) {
-      exp_x_rs = ExpectedRingPhaseSeconds(network, x_rings, config.collective);
-    }
-    if (observer != nullptr) observer->OnPhase("X-reduce-scatter");
-    StartReduceScatter(network, x_rings, config.collective, start_update);
-  };
-  if (monitored) {
-    exp_y_rs = ExpectedRingPhaseSeconds(network, y_rings, config.collective);
-  }
-  if (observer != nullptr) observer->OnPhase("Y-reduce-scatter");
-  StartReduceScatter(network, y_rings, config.collective, start_x_rs);
+  launch(0);
   if (engine != nullptr) {
     engine->Run();
     if (pdes.stats != nullptr) *pdes.stats = engine->Stats();
@@ -276,34 +272,89 @@ GradientSummationResult TwoDGradientSummation(
     simulator.Run();
     if (pdes.stats != nullptr) pdes.stats->engaged = false;
   }
-  TPU_CHECK_GE(end_y_ag, 0.0);
+  TPU_CHECK_GE(run.stage_end.back(), 0.0);
+  if (run.update_end < 0) run.update_end = run.stage_end[update_after];
 
-  result.reduce_seconds = end_x_rs - start;
-  result.update_seconds = end_update - end_x_rs;
-  result.broadcast_seconds = end_y_ag - end_update;
-  result.phase_seconds.y_reduce_scatter = end_y_rs - start;
-  result.phase_seconds.x_reduce_scatter = end_x_rs - end_y_rs;
-  result.phase_seconds.update = end_update - end_x_rs;
-  result.phase_seconds.x_all_gather = end_x_ag - end_update;
-  result.phase_seconds.y_all_gather = end_y_ag - end_x_ag;
+  GradientSummationResult& result = run.result;
+  const SimTime start = run.stage_start.front();
+  const SimTime reduced = run.stage_end[update_after];
+  result.reduce_seconds = reduced - start;
+  result.update_seconds = run.update_end - reduced;
+  result.broadcast_seconds = run.stage_end.back() - run.update_end;
+  result.phase_seconds.update = result.update_seconds;
+  result.max_owned_elems = *std::max_element(schedule.owned_elems.begin(),
+                                             schedule.owned_elems.end());
+  for (int i = 0; i < ns; ++i) {
+    const SimTime seconds = run.stage_end[i] - run.stage_start[i];
+    result.phase_seconds.*stages[i].slot += seconds;
+    if (!monitored) continue;
+    PhaseTiming timing;
+    timing.name = stages[i].name;
+    timing.start = run.stage_start[i];
+    timing.expected = expected[i];
+    timing.actual = seconds;
+    timing.deadline = deadline.DeadlineFor(expected[i]);
+    timing.timed_out = timing.actual > timing.deadline;
+    if (timing.timed_out && !result.timed_out) {
+      result.timed_out = true;
+      result.detected_at = timing.start + timing.deadline;
+      result.timed_out_phase = timing.name;
+    }
+    result.phases.push_back(timing);
+  }
+  return run;
+}
+
+GradientSummationResult TwoDGradientSummation(
+    net::Network& network, const GradientSummationConfig& config,
+    std::vector<float*> chip_buffers) {
+  const topo::MeshTopology& topo = network.topology();
+  CheckSummationConfig(topo, config, chip_buffers);
+  TwoDRings rings =
+      BuildTwoDRings(topo, Range{0, config.elems}, config, chip_buffers, "");
+
+  using Op = SummationStage::Op;
+  using Slots = SummationPhaseSeconds;
+  SummationSchedule schedule;
+  schedule.stages = {
+      {Op::kReduceScatter, false, "Y-reduce-scatter", &Slots::y_reduce_scatter,
+       rings.y},
+      {Op::kReduceScatter, false, "X-reduce-scatter", &Slots::x_reduce_scatter,
+       rings.x},
+      {Op::kAllGather, false, "X-all-gather", &Slots::x_all_gather, rings.x},
+      {Op::kAllGather, false, "Y-all-gather", &Slots::y_all_gather, rings.y},
+  };
+  schedule.update_after = 1;
+  schedule.owned_elems = std::move(rings.owned_elems);
+  const SummationRun run =
+      RunSummationStages(network, schedule, config.collective,
+                         config.shard_update_seconds, config.deadline);
+  const GradientSummationResult& result = run.result;
 
   // Phase boundaries are known only after the run, so spans are emitted
   // retroactively with explicit timestamps: one umbrella B/E pair wrapping a
   // complete span per phase on the shared summation track.
-  if (recorder != nullptr) {
+  const SimTime start = run.stage_start.front();
+  const SimTime end = run.stage_end.back();
+  if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {
+    static constexpr const char* kSpans[] = {
+        "reduce-scatter-Y", "reduce-scatter-X", "broadcast-X", "broadcast-Y"};
     const trace::TraceRecorder::TrackId track =
         recorder->Track("system", "summation");
     recorder->Begin(track, "2d-summation", start);
-    recorder->Complete(track, "reduce-scatter-Y", start, end_y_rs);
-    recorder->Complete(track, "reduce-scatter-X", end_y_rs, end_x_rs);
-    recorder->Complete(track, "sharded-update", end_x_rs, end_update);
-    recorder->Complete(track, "broadcast-X", end_update, end_x_ag);
-    recorder->Complete(track, "broadcast-Y", end_x_ag, end_y_ag);
-    recorder->End(track, end_y_ag);
+    for (int i = 0; i < 4; ++i) {
+      recorder->Complete(track, kSpans[i], run.stage_start[i],
+                         run.stage_end[i]);
+      if (i == schedule.update_after) {
+        recorder->Complete(track, "sharded-update", run.stage_end[i],
+                           run.update_end);
+      }
+    }
+    recorder->End(track, end);
   }
   if (trace::MetricsRegistry* metrics = trace::CurrentMetrics()) {
     metrics->Counter("summation.runs").Add(1);
-    metrics->Histogram("summation.total_us").Record(ToMicros(end_y_ag - start));
+    metrics->Histogram("summation.total_us").Record(ToMicros(end - start));
     metrics->Histogram("summation.y_reduce_scatter_us")
         .Record(ToMicros(result.phase_seconds.y_reduce_scatter));
     metrics->Histogram("summation.x_reduce_scatter_us")
@@ -314,29 +365,6 @@ GradientSummationResult TwoDGradientSummation(
         .Record(ToMicros(result.phase_seconds.x_all_gather));
     metrics->Histogram("summation.y_all_gather_us")
         .Record(ToMicros(result.phase_seconds.y_all_gather));
-  }
-
-  if (monitored) {
-    auto record = [&result, &config](const char* name, SimTime phase_start,
-                                     SimTime phase_end, SimTime expected) {
-      PhaseTiming timing;
-      timing.name = name;
-      timing.start = phase_start;
-      timing.expected = expected;
-      timing.actual = phase_end - phase_start;
-      timing.deadline = config.deadline.DeadlineFor(expected);
-      timing.timed_out = timing.actual > timing.deadline;
-      if (timing.timed_out && !result.timed_out) {
-        result.timed_out = true;
-        result.detected_at = phase_start + timing.deadline;
-        result.timed_out_phase = name;
-      }
-      result.phases.push_back(timing);
-    };
-    record("Y-reduce-scatter", start, end_y_rs, exp_y_rs);
-    record("X-reduce-scatter", end_y_rs, end_x_rs, exp_x_rs);
-    record("X-all-gather", end_update, end_x_ag, exp_x_ag);
-    record("Y-all-gather", end_x_ag, end_y_ag, exp_y_ag);
   }
   return result;
 }
@@ -349,27 +377,14 @@ SimTime PipelinedTwoDGradientSummation(
     net::Network& network, const GradientSummationConfig& config, int chunks,
     std::vector<float*> chip_buffers, PipelinedSummationReport* report) {
   const topo::MeshTopology& topo = network.topology();
-  TPU_CHECK_GT(config.elems, 0);
+  CheckSummationConfig(topo, config, chip_buffers);
   TPU_CHECK_GT(chunks, 0);
-  TPU_CHECK_EQ(topo.size_x() % config.model_parallel_stride, 0);
-  if (!chip_buffers.empty()) {
-    TPU_CHECK_EQ(static_cast<int>(chip_buffers.size()), topo.num_chips());
-  }
   sim::Simulator& simulator = network.simulator();
   trace::TraceRecorder* recorder = trace::CurrentTrace();
   const SimTime start = simulator.now();
   if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
     // Chunk phases overlap, so a single label covers the fused collective.
     observer->OnPhase("pipelined-2d");
-  }
-
-  // Shared ring layouts (identical for every slice).
-  const std::vector<topo::ChipId> y_ring0 =
-      topo.RingAlong(topo::Dim::kY, topo.ChipAt({0, 0}));
-  const int ny = static_cast<int>(y_ring0.size());
-  std::vector<int> y_rank(topo.size_y());
-  for (int y = 0; y < topo.size_y(); ++y) {
-    y_rank[y] = PosIn(y_ring0, topo.ChipAt({0, y}));
   }
 
   // Slice phases overlap, so deadline monitoring watches the fused collective
@@ -379,34 +394,12 @@ SimTime PipelinedTwoDGradientSummation(
   // compute, not communication, and is excluded from the expectation.
   const bool monitored = report != nullptr && config.deadline.enabled();
   if (monitored) {
-    std::vector<RingSpec> estimate_y;
-    for (int x = 0; x < topo.size_x(); ++x) {
-      RingSpec spec;
-      spec.order = topo.RingAlong(topo::Dim::kY, topo.ChipAt({x, 0}));
-      spec.range = Range{0, config.elems};
-      estimate_y.push_back(std::move(spec));
-    }
-    std::vector<RingSpec> estimate_x;
-    for (int y = 0; y < topo.size_y(); ++y) {
-      const std::vector<Range> y_owned = OwnedAfterReduceScatter(
-          Range{0, config.elems}, ny, y_rank[y], config.collective);
-      for (int offset = 0; offset < config.model_parallel_stride; ++offset) {
-        std::vector<topo::ChipId> order = topo.StridedRingAlong(
-            topo::Dim::kX, topo.ChipAt({offset, y}),
-            config.model_parallel_stride);
-        for (const Range& owned : y_owned) {
-          if (owned.size() == 0) continue;
-          RingSpec spec;
-          spec.order = order;
-          spec.range = owned;
-          estimate_x.push_back(std::move(spec));
-        }
-      }
-    }
+    const TwoDRings estimate =
+        BuildTwoDRings(topo, Range{0, config.elems}, config, {}, "");
     const SimTime y_phase =
-        ExpectedRingPhaseSeconds(network, estimate_y, config.collective);
+        ExpectedRingPhaseSeconds(network, *estimate.y, config.collective);
     const SimTime x_phase =
-        ExpectedRingPhaseSeconds(network, estimate_x, config.collective);
+        ExpectedRingPhaseSeconds(network, *estimate.x, config.collective);
     report->expected = 2 * y_phase + 2 * x_phase;
     report->deadline = config.deadline.DeadlineFor(report->expected);
   }
@@ -424,84 +417,35 @@ SimTime PipelinedTwoDGradientSummation(
       all_done->Notify();
       continue;
     }
-    // Per-slice ring specs.
-    auto y_rings = std::make_shared<std::vector<RingSpec>>();
-    for (int x = 0; x < topo.size_x(); ++x) {
-      std::vector<topo::ChipId> order =
-          topo.RingAlong(topo::Dim::kY, topo.ChipAt({x, 0}));
-      RingSpec spec;
-      spec.data = DataFor(chip_buffers, order);
-      spec.order = std::move(order);
-      spec.range = range;
-      if (recorder != nullptr) {
-        spec.label = "Y s" + std::to_string(c) + " x=" + std::to_string(x);
-      }
-      y_rings->push_back(std::move(spec));
-    }
-    auto x_rings = std::make_shared<std::vector<RingSpec>>();
-    for (int y = 0; y < topo.size_y(); ++y) {
-      const std::vector<Range> y_owned =
-          OwnedAfterReduceScatter(range, ny, y_rank[y], config.collective);
-      for (int offset = 0; offset < config.model_parallel_stride; ++offset) {
-        std::vector<topo::ChipId> order = topo.StridedRingAlong(
-            topo::Dim::kX, topo.ChipAt({offset, y}),
-            config.model_parallel_stride);
-        for (const Range& owned : y_owned) {
-          if (owned.size() == 0) continue;
-          RingSpec spec;
-          spec.data = DataFor(chip_buffers, order);
-          spec.order = order;
-          spec.range = owned;
-          if (recorder != nullptr) {
-            spec.label = "X s" + std::to_string(c) + " y=" + std::to_string(y);
-          }
-          x_rings->push_back(std::move(spec));
-        }
-      }
-    }
+    const TwoDRings rings = BuildTwoDRings(topo, range, config, chip_buffers,
+                                           "s" + std::to_string(c) + " ");
 
     // Phase chain for this slice: Y-RS -> X-RS -> [update] -> X-AG -> Y-AG.
     net::Network* net_ptr = &network;
     const auto options = config.collective;
-    auto update_hook = config.shard_update_seconds;
-    auto after_xag = [net_ptr, y_rings, options, all_done] {
+    auto after_xag = [net_ptr, y_rings = rings.y, options, all_done] {
       StartAllGather(*net_ptr, *y_rings, options,
                      [all_done] { all_done->Notify(); });
     };
-    auto after_update = [net_ptr, x_rings, options, after_xag] {
+    auto after_update = [net_ptr, x_rings = rings.x, options, after_xag] {
       StartAllGather(*net_ptr, *x_rings, options, after_xag);
     };
-    auto after_xrs = [net_ptr, &topo, range, ny, y_rank, update_hook, config,
-                      after_update]() {
+    auto after_xrs = [net_ptr, update_hook = config.shard_update_seconds,
+                      owned_elems = rings.owned_elems, after_update]() {
       if (!update_hook) {
         after_update();
         return;
       }
       // Sharded weight update on each chip's owned slice portion.
       sim::Simulator& sim_ref = net_ptr->simulator();
-      auto barrier = std::make_shared<sim::Barrier>(topo.num_chips(),
-                                                    after_update);
-      for (int chip = 0; chip < topo.num_chips(); ++chip) {
-        const topo::Coord coord = topo.CoordOf(chip);
-        const std::vector<topo::ChipId> x_ring = topo.StridedRingAlong(
-            topo::Dim::kX, chip, config.model_parallel_stride);
-        const int x_rank = PosIn(x_ring, chip);
-        std::int64_t owned_elems = 0;
-        for (const Range& r : OwnedAfterReduceScatter(
-                 range, ny, y_rank[coord.y], config.collective)) {
-          if (r.size() == 0) continue;
-          for (const Range& owned : OwnedAfterReduceScatter(
-                   r, static_cast<int>(x_ring.size()), x_rank,
-                   config.collective)) {
-            owned_elems += owned.size();
-          }
-        }
-        sim_ref.Schedule(update_hook(owned_elems),
-                         [barrier] { barrier->Notify(); });
+      auto barrier = std::make_shared<sim::Barrier>(
+          static_cast<int>(owned_elems.size()), after_update);
+      for (const std::int64_t owned : owned_elems) {
+        sim_ref.Schedule(update_hook(owned), [barrier] { barrier->Notify(); });
       }
     };
-    StartReduceScatter(network, *y_rings, options,
-                       [net_ptr, x_rings, options, after_xrs] {
+    StartReduceScatter(network, *rings.y, options,
+                       [net_ptr, x_rings = rings.x, options, after_xrs] {
                          StartReduceScatter(*net_ptr, *x_rings, options,
                                             after_xrs);
                        });

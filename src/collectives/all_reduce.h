@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "collectives/ring.h"
@@ -104,6 +105,57 @@ struct GradientSummationResult {
     return reduce_seconds + update_seconds + broadcast_seconds;
   }
 };
+
+// Staged execution: the one runner behind the fixed 2-D schedule below and
+// every lowered collective plan (plan/executor.h). A schedule is a chain of
+// stages, each a reduce-scatter or all-gather over a list of concurrent
+// groups; the sharded weight update runs between stages[update_after] and
+// the stage after it.
+struct SummationStage {
+  enum class Op { kReduceScatter, kAllGather };
+
+  Op op = Op::kReduceScatter;
+  bool halving_doubling = false;  // recursive halving-doubling, else rings
+  // Static phase label ("Y-reduce-scatter", "X-all-gather", ...): the causal
+  // observer's phase and the deadline-monitoring name.
+  const char* name = "";
+  // The five-phase slot this stage's wall clock accumulates into.
+  SimTime SummationPhaseSeconds::*slot =
+      &SummationPhaseSeconds::y_reduce_scatter;
+  // Shared between a reduce-scatter and its mirroring all-gather.
+  std::shared_ptr<std::vector<RingSpec>> specs;
+};
+
+struct SummationSchedule {
+  std::vector<SummationStage> stages;
+  // Index of the last reduce-scatter; never the final stage.
+  int update_after = 0;
+  // Per-chip owned element counts at the update point.
+  std::vector<std::int64_t> owned_elems;
+};
+
+struct SummationRun {
+  GradientSummationResult result;
+  // Stage boundaries in sim-time. The stage after the update starts at
+  // update_end, every other stage where its predecessor ended.
+  std::vector<SimTime> stage_start;
+  std::vector<SimTime> stage_end;
+  SimTime update_end = 0;
+};
+
+// Runs `schedule` starting at the simulator's current time: stages chain
+// through completion callbacks and the simulator runs once at the end, so
+// externally armed events (fault injections and their healings) fire
+// mid-collective. Each stage's expectation (when `deadline` is enabled) is
+// estimated at its start, against the then-current link occupancy. Engages
+// the windowed PDES engine when the ambient sim::PdesConfig asks for it and
+// the run qualifies (see the definition).
+SummationRun RunSummationStages(
+    net::Network& network, const SummationSchedule& schedule,
+    const CollectiveOptions& options,
+    const std::function<SimTime(std::int64_t owned_elems)>&
+        shard_update_seconds,
+    const PhaseDeadlineConfig& deadline);
 
 // Runs the full 2-D summation on the network's topology. `chip_buffers` is
 // either empty (timing-only) or holds one payload pointer per chip id; after

@@ -253,8 +253,9 @@ StepBreakdown MultipodSystem::SimulateStep(const models::ModelSpec& spec,
   sim::Simulator simulator;
   net::Network network(&topology_, options_.network, &simulator);
   // Publish the system's PDES request for the duration of the step; the
-  // summation itself decides whether the step qualifies (multi-pod,
-  // time-only, unobserved) and silently stays serial otherwise.
+  // summation (fixed or planned) decides whether the step qualifies
+  // (multi-pod, time-only, unobserved) and silently stays serial otherwise.
+  // Planner candidate evaluations always stay serial.
   sim::ScopedPdesConfig pdes_scope(options_.pdes);
   coll::GradientSummationConfig summation;
   summation.elems = std::max<std::int64_t>(1, spec.parameters / chips_per_group);

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "plan/executor.h"
+#include "sim/partitioned_simulator.h"
 #include "sim/simulator.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -120,11 +121,11 @@ SimTime EstimatePlanSeconds(const topo::MeshTopology& topo,
     SimTime stage_seconds = 0;
     for (const coll::RingSpec& spec : *stage.specs) {
       const SimTime t =
-          stage.algorithm == PhaseAlgorithm::kRing
-              ? RingStageSeconds(hop, spec, options)
-              : HdStageSeconds(hop, spec,
+          stage.halving_doubling
+              ? HdStageSeconds(hop, spec,
                                stage.op == LoweredStage::Op::kReduceScatter,
-                               options);
+                               options)
+              : RingStageSeconds(hop, spec, options);
       stage_seconds = std::max(stage_seconds, t);
     }
     total += stage_seconds;
@@ -146,9 +147,12 @@ SimTime EvaluatePlanOnSimulator(const topo::MeshTopology& topo,
   // Candidate evaluations are throwaway: silence tracing, metrics, and the
   // causal observer so the search leaves no spans, counters, or event
   // records behind — only the chosen plan's real execution is observable.
+  // They also stay serial: under an ambient PDES request every candidate
+  // would otherwise build its own partitioned engine and thread pool.
   trace::ScopedTrace no_trace(nullptr);
   trace::ScopedMetrics no_metrics(nullptr);
   sim::ScopedEventObserver no_observer(nullptr);
+  sim::ScopedPdesConfig serial({});
   sim::Simulator simulator;
   net::Network network(&topo, config, &simulator);
   health.ApplyTo(network);

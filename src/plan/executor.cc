@@ -1,14 +1,10 @@
 #include "plan/executor.h"
 
-#include <memory>
 #include <string>
 #include <utility>
 
-#include "collectives/halving_doubling.h"
-#include "collectives/ring.h"
 #include "common/check.h"
 #include "plan/schedule.h"
-#include "sim/simulator.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
 
@@ -72,122 +68,41 @@ PlanExecutionResult ExecutePlan(net::Network& network,
                           std::move(chip_buffers));
   }
 
-  LoweredPlan lowered = LowerPlan(topo, plan, elems, std::move(chip_buffers));
-  const int ns = static_cast<int>(lowered.stages.size());
-  const coll::CollectiveOptions options = plan.collective_options();
-  sim::Simulator& simulator = network.simulator();
-  trace::TraceRecorder* recorder = trace::CurrentTrace();
-  const bool monitored = config.deadline.enabled();
-  const SimTime start = simulator.now();
+  const LoweredPlan lowered =
+      LowerPlan(topo, plan, elems, std::move(chip_buffers));
+  const coll::SummationRun run = coll::RunSummationStages(
+      network, lowered, plan.collective_options(), config.shard_update_seconds,
+      config.deadline);
+  const coll::GradientSummationResult& summary = run.result;
 
   PlanExecutionResult result;
-  result.max_owned_elems = lowered.max_owned_elems;
-
-  std::vector<SimTime> stage_end(ns, -1.0);
-  std::vector<SimTime> stage_expected(ns, 0.0);
-  SimTime update_end = -1.0;
-  SimTime finish = -1.0;
-
-  // Stages chain through completion callbacks with one simulator run at the
-  // end, so externally armed events (fault injections) fire mid-collective;
-  // the sequence per transition — record end, estimate the next stage, start
-  // it — matches TwoDGradientSummation event for event.
-  std::function<void(int)> launch = [&](int i) {
-    if (i == ns) {
-      finish = simulator.now();
-      return;
-    }
-    const LoweredStage& stage = lowered.stages[i];
-    if (monitored) {
-      stage_expected[i] =
-          stage.algorithm == PhaseAlgorithm::kRing
-              ? coll::ExpectedRingPhaseSeconds(network, *stage.specs, options)
-              : coll::ExpectedHdPhaseSeconds(network, *stage.specs, options);
-    }
-    if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
-      observer->OnPhase(stage.name);
-    }
-    std::function<void()> next = [&, i] {
-      stage_end[i] = simulator.now();
-      if (i != lowered.update_after || !config.shard_update_seconds) {
-        launch(i + 1);
-        return;
-      }
-      // Sharded weight update on every chip's owned elements; the barrier
-      // callback continues the chain (mirrors the fixed schedule's update).
-      if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
-        observer->OnPhase("sharded-update");
-      }
-      auto barrier = std::make_shared<sim::Barrier>(topo.num_chips(), [&, i] {
-        update_end = simulator.now();
-        launch(i + 1);
-      });
-      for (int chip = 0; chip < topo.num_chips(); ++chip) {
-        simulator.Schedule(
-            config.shard_update_seconds(lowered.owned_elems[chip]),
-            [barrier] { barrier->Notify(); });
-      }
-    };
-    if (stage.specs->empty()) {
-      // Degenerate stage (payload already fully sharded away): complete in
-      // zero time without touching the network.
-      simulator.Schedule(0.0, std::move(next));
-      return;
-    }
-    const bool rs = stage.op == LoweredStage::Op::kReduceScatter;
-    if (stage.algorithm == PhaseAlgorithm::kRing) {
-      rs ? coll::StartReduceScatter(network, *stage.specs, options,
-                                    std::move(next))
-         : coll::StartAllGather(network, *stage.specs, options,
-                                std::move(next));
-    } else {
-      rs ? coll::StartHdReduceScatter(network, *stage.specs, options,
-                                      std::move(next))
-         : coll::StartHdAllGather(network, *stage.specs, options,
-                                  std::move(next));
-    }
-  };
-  launch(0);
-  simulator.Run();
-  TPU_CHECK_GE(finish, 0.0);
-  if (update_end < 0) update_end = stage_end[lowered.update_after];
-
-  result.reduce_seconds = stage_end[lowered.update_after] - start;
-  result.update_seconds = update_end - stage_end[lowered.update_after];
-  result.broadcast_seconds = finish - update_end;
-
-  // Per-stage durations and the five-phase mapping.
-  SimTime prev = start;
+  result.reduce_seconds = summary.reduce_seconds;
+  result.update_seconds = summary.update_seconds;
+  result.broadcast_seconds = summary.broadcast_seconds;
+  result.summation_phases = summary.phase_seconds;
+  result.max_owned_elems = summary.max_owned_elems;
+  result.phases = summary.phases;
+  result.timed_out = summary.timed_out;
+  result.detected_at = summary.detected_at;
+  result.timed_out_phase = summary.timed_out_phase;
+  const int ns = static_cast<int>(lowered.stages.size());
   for (int i = 0; i < ns; ++i) {
-    const LoweredStage& stage = lowered.stages[i];
-    const SimTime seconds = stage_end[i] - prev;
-    result.stages.push_back({stage.name, seconds});
-    coll::SummationPhaseSeconds& sp = result.summation_phases;
-    if (stage.dim == PlanDim::kX) {
-      (stage.op == LoweredStage::Op::kReduceScatter ? sp.x_reduce_scatter
-                                                    : sp.x_all_gather) +=
-          seconds;
-    } else {
-      (stage.op == LoweredStage::Op::kReduceScatter ? sp.y_reduce_scatter
-                                                    : sp.y_all_gather) +=
-          seconds;
-    }
-    prev = i == lowered.update_after ? update_end : stage_end[i];
+    result.stages.push_back({lowered.stages[i].name,
+                             run.stage_end[i] - run.stage_start[i]});
   }
-  result.summation_phases.update = result.update_seconds;
 
-  if (recorder != nullptr) {
+  const SimTime start = run.stage_start.front();
+  const SimTime finish = run.stage_end.back();
+  if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {
     const trace::TraceRecorder::TrackId track =
         recorder->Track("system", "plan");
     recorder->Begin(track, "plan " + plan.name(), start);
-    SimTime span_start = start;
     for (int i = 0; i < ns; ++i) {
-      recorder->Complete(track, lowered.stages[i].name, span_start,
-                         stage_end[i]);
-      span_start = stage_end[i];
-      if (i == lowered.update_after && update_end > stage_end[i]) {
-        recorder->Complete(track, "sharded-update", stage_end[i], update_end);
-        span_start = update_end;
+      recorder->Complete(track, lowered.stages[i].name, run.stage_start[i],
+                         run.stage_end[i]);
+      if (i == lowered.update_after && run.update_end > run.stage_end[i]) {
+        recorder->Complete(track, "sharded-update", run.stage_end[i],
+                           run.update_end);
       }
     }
     recorder->End(track, finish);
@@ -195,26 +110,6 @@ PlanExecutionResult ExecutePlan(net::Network& network,
   if (trace::MetricsRegistry* metrics = trace::CurrentMetrics()) {
     metrics->Counter("plan.exec.runs").Add(1);
     metrics->Histogram("plan.exec.total_us").Record(ToMicros(finish - start));
-  }
-
-  if (monitored) {
-    SimTime phase_start = start;
-    for (int i = 0; i < ns; ++i) {
-      coll::PhaseTiming timing;
-      timing.name = lowered.stages[i].name;
-      timing.start = phase_start;
-      timing.expected = stage_expected[i];
-      timing.actual = stage_end[i] - phase_start;
-      timing.deadline = config.deadline.DeadlineFor(stage_expected[i]);
-      timing.timed_out = timing.actual > timing.deadline;
-      if (timing.timed_out && !result.timed_out) {
-        result.timed_out = true;
-        result.detected_at = phase_start + timing.deadline;
-        result.timed_out_phase = timing.name;
-      }
-      result.phases.push_back(timing);
-      phase_start = i == lowered.update_after ? update_end : stage_end[i];
-    }
   }
   return result;
 }

@@ -1,16 +1,14 @@
-// Discrete-event execution of a lowered CollectivePlan.
+// Discrete-event execution of a CollectivePlan.
 //
-// The executor chains the lowered stages through completion callbacks and
-// runs the simulator once, exactly the discipline TwoDGradientSummation
-// uses — same spec construction order, same barrier structure, same
-// estimate-then-start sequence per stage. Events at equal timestamps run in
-// insertion order, so for the canonical ring 2-D [Y->X] plan the executed
-// timing is bit-identical to the fixed schedule: the planner costs nothing
-// when it picks the plan the code used to hard-wire.
-//
-// Like the fixed schedule it supports the sharded-weight-update hook (run
-// after the last reduce-scatter on each chip's owned shard), per-phase
-// deadline monitoring, functional payload buffers, and trace spans.
+// ExecutePlan lowers the plan (plan/schedule.h) and hands the stages to
+// coll::RunSummationStages, the runner that also executes the paper's fixed
+// 2-D schedule (coll::TwoDGradientSummation). The runner owns the stage
+// chain, the sharded-weight-update barrier, per-stage deadline monitoring,
+// observer phase labels and PDES engagement; this layer adds the per-stage
+// result view and the `plan` trace track. Because lowering enumerates the
+// ring [Y->X] plan's groups in the fixed schedule's order, executing it is
+// bit-identical to TwoDGradientSummation. Chunk-pipelined plans run through
+// coll::PipelinedTwoDGradientSummation instead.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +44,9 @@ struct PlanExecutionResult {
   };
   std::vector<StageSeconds> stages;
 
-  // The fixed schedule's five-phase view, filled by mapping stage names so
-  // MultipodSystem's profiler/trace plumbing works unchanged. Stages of
-  // other shapes fold into the nearest slot (flat RS -> y_reduce_scatter).
+  // The fixed schedule's five-phase view, accumulated through each stage's
+  // slot so MultipodSystem's profiler/trace plumbing works unchanged. Stages
+  // of other shapes fold into the nearest slot (flat RS -> y_reduce_scatter).
   coll::SummationPhaseSeconds summation_phases;
 
   std::int64_t max_owned_elems = 0;

@@ -28,9 +28,10 @@ std::vector<CollectivePlan> GeneratePlans(const topo::MeshTopology& topo,
                                           const PlanRequest& request);
 
 // The paper's fixed schedule as a plan: ring 2-D [Y->X] with the request's
-// stride and preferred wire options. This is what SystemOptions without the
-// planner executes (TwoDGradientSummation), and the golden plan the planner
-// is expected to rediscover on a healthy multipod.
+// stride and preferred wire options. SystemOptions without the planner runs
+// the same schedule through TwoDGradientSummation (both share
+// coll::RunSummationStages), and it is the golden plan the planner is
+// expected to rediscover on a healthy multipod.
 CollectivePlan PaperPlan(const PlanRequest& request);
 
 }  // namespace tpu::plan

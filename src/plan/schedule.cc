@@ -1,10 +1,9 @@
 #include "plan/schedule.h"
 
-#include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 
-#include "collectives/all_reduce.h"
 #include "collectives/halving_doubling.h"
 #include "common/check.h"
 #include "trace/trace.h"
@@ -12,17 +11,30 @@
 namespace tpu::plan {
 namespace {
 
-const char* StageName(LoweredStage::Op op, PlanDim dim) {
+LoweredStage MakeStage(LoweredStage::Op op, const PlanPhase& phase,
+                       std::shared_ptr<std::vector<coll::RingSpec>> specs) {
+  using Slots = coll::SummationPhaseSeconds;
   const bool rs = op == LoweredStage::Op::kReduceScatter;
-  switch (dim) {
-    case PlanDim::kY:
-      return rs ? "Y-reduce-scatter" : "Y-all-gather";
+  LoweredStage stage;
+  stage.op = op;
+  stage.halving_doubling =
+      phase.algorithm == PhaseAlgorithm::kHalvingDoubling;
+  stage.specs = std::move(specs);
+  switch (phase.dim) {
     case PlanDim::kX:
-      return rs ? "X-reduce-scatter" : "X-all-gather";
+      stage.name = rs ? "X-reduce-scatter" : "X-all-gather";
+      stage.slot = rs ? &Slots::x_reduce_scatter : &Slots::x_all_gather;
+      return stage;
+    case PlanDim::kY:
+      stage.name = rs ? "Y-reduce-scatter" : "Y-all-gather";
+      break;
     case PlanDim::kFlat:
-      return rs ? "flat-reduce-scatter" : "flat-all-gather";
+      stage.name = rs ? "flat-reduce-scatter" : "flat-all-gather";
+      break;
   }
-  return "";
+  // Y and flat stages share the Y slots of the five-phase view.
+  stage.slot = rs ? &Slots::y_reduce_scatter : &Slots::y_all_gather;
+  return stage;
 }
 
 struct Group {
@@ -31,10 +43,10 @@ struct Group {
 };
 
 // Group enumeration order is load-bearing: it fixes the event creation order
-// of the lowered schedule, and for the ring [Y->X] shape it matches
-// TwoDGradientSummation exactly (Y groups by x ascending; X groups by y,
-// then stride offset), which is what makes planned execution bit-identical
-// to the fixed schedule.
+// of the lowered schedule, and for the ring [Y->X] shape it matches the
+// fixed 2-D schedule's ring lists (Y groups by x ascending; X groups by y,
+// then stride offset), so the shared stage runner executes the planned and
+// the fixed schedule event for event.
 std::vector<Group> GroupsFor(const topo::MeshTopology& topo,
                              const PlanPhase& phase, bool labeled) {
   std::vector<Group> groups;
@@ -159,13 +171,8 @@ LoweredPlan LowerPlan(const topo::MeshTopology& topo,
         owned[chip] = std::move(next);
       }
     }
-    LoweredStage stage;
-    stage.op = LoweredStage::Op::kReduceScatter;
-    stage.algorithm = phase.algorithm;
-    stage.dim = phase.dim;
-    stage.name = StageName(stage.op, phase.dim);
-    stage.specs = frame.specs;
-    lowered.stages.push_back(stage);
+    lowered.stages.push_back(
+        MakeStage(LoweredStage::Op::kReduceScatter, phase, frame.specs));
     lowered.update_after = static_cast<int>(lowered.stages.size()) - 1;
     open.push_back(std::move(frame));
     // Snapshot ownership here: the last reduce-scatter's snapshot survives
@@ -183,13 +190,8 @@ LoweredPlan LowerPlan(const topo::MeshTopology& topo,
     TPU_CHECK(!open.empty());
     OpenReduce frame = std::move(open.back());
     open.pop_back();
-    LoweredStage stage;
-    stage.op = LoweredStage::Op::kAllGather;
-    stage.algorithm = phase.algorithm;
-    stage.dim = phase.dim;
-    stage.name = StageName(stage.op, phase.dim);
-    stage.specs = frame.specs;
-    lowered.stages.push_back(stage);
+    lowered.stages.push_back(
+        MakeStage(LoweredStage::Op::kAllGather, phase, frame.specs));
     owned = std::move(frame.owned_before);
   };
 
@@ -210,9 +212,6 @@ LoweredPlan LowerPlan(const topo::MeshTopology& topo,
   TPU_CHECK(open.empty());
 
   lowered.owned_elems = std::move(owned_at_update);
-  for (const std::int64_t chip_elems : lowered.owned_elems) {
-    lowered.max_owned_elems = std::max(lowered.max_owned_elems, chip_elems);
-  }
   return lowered;
 }
 

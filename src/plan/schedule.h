@@ -2,53 +2,38 @@
 //
 // The lowering walks the plan phase by phase, tracking which payload
 // sub-ranges every chip owns, and materializes one coll::RingSpec per
-// (group, owned range) — the exact lists TwoDGradientSummation builds by
-// hand for the paper's fixed schedule. A reduce-scatter and its mirroring
-// all-gather share one spec list (an all-gather re-runs the same groups over
-// the same ranges in reverse), and all-reduce-in-one phases expand into an
-// RS stage plus an AG stage on shared specs. Both the closed-form cost
-// estimate and the discrete-event executor consume the same LoweredPlan, so
-// they price and run the identical schedule.
+// (group, owned range). A reduce-scatter and its mirroring all-gather share
+// one spec list (an all-gather re-runs the same groups over the same ranges
+// in reverse), and all-reduce-in-one phases expand into an RS stage plus an
+// AG stage on shared specs. The result is a coll::SummationSchedule: the
+// closed-form cost estimate prices it, and coll::RunSummationStages — the
+// same runner behind the fixed 2-D schedule — executes it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "collectives/ring.h"
+#include "collectives/all_reduce.h"
 #include "plan/plan_ir.h"
 #include "topology/topology.h"
 
 namespace tpu::plan {
 
-struct LoweredStage {
-  enum class Op { kReduceScatter, kAllGather };
+// A stage's label ("Y-reduce-scatter", "X-all-gather", ...) matches the
+// names TwoDGradientSummation reports for monitored phases.
+using LoweredStage = coll::SummationStage;
 
-  Op op = Op::kReduceScatter;
-  PhaseAlgorithm algorithm = PhaseAlgorithm::kRing;
-  PlanDim dim = PlanDim::kY;
-  // Static phase label ("Y-reduce-scatter", "X-all-gather", ...), matching
-  // the names TwoDGradientSummation reports for monitored phases.
-  const char* name = "";
-  // Shared between a reduce-scatter and its mirroring all-gather.
-  std::shared_ptr<std::vector<coll::RingSpec>> specs;
-};
-
-struct LoweredPlan {
+// stages / update_after / owned_elems (coll::SummationSchedule): the update
+// runs after the last reduce-scatter stage, on each chip's then-owned
+// elements.
+struct LoweredPlan : coll::SummationSchedule {
   CollectivePlan plan;
-  std::vector<LoweredStage> stages;
-  // The sharded weight update runs after stages[update_after] (the last
-  // reduce-scatter stage), on each chip's then-owned elements.
-  int update_after = 0;
-  // Per-chip owned element counts at the update point, and their max.
-  std::vector<std::int64_t> owned_elems;
-  std::int64_t max_owned_elems = 0;
 };
 
 // Lowers `plan` (which must validate on `topo`) over a payload of `elems`
 // float elements per chip. `chip_buffers` is empty for timing-only lowering
 // or holds one payload pointer per chip id; spec labels are attached only
-// when a trace recorder is installed (mirroring TwoDGradientSummation).
+// when a trace recorder is installed, as the fixed 2-D schedule does.
 // Ignores plan.chunks — chunked plans execute through the pipelined 2-D
 // path, but lower sequentially for cost estimation.
 LoweredPlan LowerPlan(const topo::MeshTopology& topo,

@@ -75,10 +75,11 @@ struct PdesStats {
 };
 
 // Ambient PDES request, installed with ScopedPdesConfig the same way trace /
-// metrics / telemetry sessions are. Engine-capable drivers (the 2-D gradient
-// summation) consult it and engage the windowed engine when it asks for >1
-// thread and the workload qualifies; everything else ignores it, which *is*
-// the serial fallback.
+// metrics / telemetry sessions are. The one engine-capable driver, the
+// summation stage runner behind both the fixed 2-D schedule and planned
+// execution (coll::RunSummationStages), consults it and engages the
+// windowed engine when it asks for >1 thread and the workload qualifies;
+// everything else ignores it, which *is* the serial fallback.
 struct PdesConfig {
   bool enable = false;
   // Worker threads for partition drains. 1 leaves the serial path untouched

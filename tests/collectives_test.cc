@@ -11,6 +11,7 @@
 #include "collectives/xfer.h"
 #include "common/rng.h"
 #include "network/network.h"
+#include "sim/partitioned_simulator.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 
@@ -457,6 +458,78 @@ TEST(PhaseDeadline, SmallExpectationsFloorLargeOnesScale) {
   deadline.min_deadline = Micros(50);
   EXPECT_EQ(deadline.DeadlineFor(Micros(10)), Micros(50));   // 30us < floor
   EXPECT_EQ(deadline.DeadlineFor(Micros(100)), Micros(300));  // scales
+}
+
+// Deadline monitoring, the sharded-update barrier and the PDES engine all
+// live in the shared stage runner: an engaged run at 4 threads must report
+// every result field — per-phase timings and the timeout summary included —
+// exactly as the serial run does.
+TEST(PdesSummation, DeadlineMonitoredEngagedRunMatchesSerial) {
+  topo::TopologyConfig shape;
+  shape.pod_size_x = 8;
+  shape.pod_size_y = 8;
+  shape.num_pods = 4;
+  const topo::MeshTopology topo(shape);
+  struct Run {
+    GradientSummationResult result;
+    sim::PdesStats pdes;
+    std::uint64_t events = 0;
+  };
+  auto run = [&](int threads) {
+    sim::Simulator simulator;
+    net::Network network(&topo, {}, &simulator);
+    // A badly degraded Y link in pod 1 makes the Y phases overrun.
+    network.DegradeLink(
+        topo.LinkBetween(topo.ChipAt({9, 2}), topo.ChipAt({9, 3})), 50.0);
+    Run out;
+    sim::PdesConfig pdes;
+    pdes.enable = threads > 1;
+    pdes.threads = threads;
+    pdes.stats = &out.pdes;
+    sim::ScopedPdesConfig install(pdes);
+    GradientSummationConfig config;
+    config.elems = 1 << 16;
+    config.shard_update_seconds = [](std::int64_t owned) {
+      return owned * 1e-9;
+    };
+    config.deadline.multiple = 3.0;
+    out.result = TwoDGradientSummation(network, config);
+    out.events = out.pdes.engaged ? out.pdes.events_processed
+                                  : simulator.events_processed();
+    return out;
+  };
+  const Run serial = run(1);
+  const Run engaged = run(4);
+  ASSERT_FALSE(serial.pdes.engaged);
+  ASSERT_TRUE(engaged.pdes.engaged);
+  const GradientSummationResult& want = serial.result;
+  const GradientSummationResult& got = engaged.result;
+  EXPECT_TRUE(want.timed_out);
+  EXPECT_EQ(got.reduce_seconds, want.reduce_seconds);
+  EXPECT_EQ(got.update_seconds, want.update_seconds);
+  EXPECT_EQ(got.broadcast_seconds, want.broadcast_seconds);
+  EXPECT_EQ(got.phase_seconds.y_reduce_scatter,
+            want.phase_seconds.y_reduce_scatter);
+  EXPECT_EQ(got.phase_seconds.x_reduce_scatter,
+            want.phase_seconds.x_reduce_scatter);
+  EXPECT_EQ(got.phase_seconds.update, want.phase_seconds.update);
+  EXPECT_EQ(got.phase_seconds.x_all_gather, want.phase_seconds.x_all_gather);
+  EXPECT_EQ(got.phase_seconds.y_all_gather, want.phase_seconds.y_all_gather);
+  EXPECT_EQ(got.max_owned_elems, want.max_owned_elems);
+  ASSERT_EQ(got.phases.size(), 4u);
+  ASSERT_EQ(got.phases.size(), want.phases.size());
+  for (std::size_t i = 0; i < want.phases.size(); ++i) {
+    EXPECT_STREQ(got.phases[i].name, want.phases[i].name);
+    EXPECT_EQ(got.phases[i].start, want.phases[i].start);
+    EXPECT_EQ(got.phases[i].expected, want.phases[i].expected);
+    EXPECT_EQ(got.phases[i].actual, want.phases[i].actual);
+    EXPECT_EQ(got.phases[i].deadline, want.phases[i].deadline);
+    EXPECT_EQ(got.phases[i].timed_out, want.phases[i].timed_out);
+  }
+  EXPECT_EQ(got.timed_out, want.timed_out);
+  EXPECT_EQ(got.detected_at, want.detected_at);
+  EXPECT_STREQ(got.timed_out_phase, want.timed_out_phase);
+  EXPECT_EQ(engaged.events, serial.events);
 }
 
 TEST(SnakeRing, VisitsEveryChipWithNeighborSteps) {

@@ -13,6 +13,8 @@
 #include "core/sweep.h"
 #include "models/model_specs.h"
 #include "network/network.h"
+#include "plan/executor.h"
+#include "plan/generator.h"
 #include "plan/planner.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
@@ -431,34 +433,143 @@ TEST(Determinism, PdesTrainingUnderFailuresAtScaleIsThreadCountInvariant) {
 }
 
 TEST(Determinism, PdesPlannerSearchOnDegradedSliceIsThreadCountInvariant) {
-  // The planner's candidate evaluations run pod-spanning schedules on a
-  // single-pod 16x8 slice, so the engine legitimately degenerates to the
-  // serial path — the ambient PDES request must not move the search result
-  // by a ULP at any thread count.
-  const topo::MeshTopology topo(topo::TopologyConfig::Slice(16, 8, true));
-  net::NetworkConfig config;
+  // The planner's candidate evaluations are throwaway runs that always stay
+  // serial, on a single-pod slice and on a multipod alike: the ambient PDES
+  // request must neither engage the engine (the stats out-param stays
+  // untouched) nor move the search result by a ULP at any thread count.
+  topo::TopologyConfig multipod;
+  multipod.pod_size_x = 8;
+  multipod.pod_size_y = 8;
+  multipod.num_pods = 4;
+  for (const topo::TopologyConfig& shape :
+       {topo::TopologyConfig::Slice(16, 8, true), multipod}) {
+    const topo::MeshTopology topo(shape);
+    SCOPED_TRACE("pods=" + std::to_string(topo.num_pods()));
+    net::NetworkConfig config;
+    plan::PlanRequest request;
+    request.elems = 1 << 16;
+    request.max_chunks = 4;
+    request.des_top_k = 4;
+    plan::LinkHealthSet health;
+    health.degraded = {
+        {topo.LinkBetween(topo.ChipAt({3, 2}), topo.ChipAt({3, 3})), 8.0}};
+    auto search = [&](int threads) {
+      sim::PdesStats stats;
+      sim::PdesConfig pdes;
+      pdes.enable = threads > 0;
+      pdes.threads = threads > 0 ? threads : 1;
+      pdes.stats = &stats;
+      sim::ScopedPdesConfig install(pdes);
+      const plan::PlannerResult result =
+          plan::FindBestPlan(topo, config, request, health);
+      EXPECT_FALSE(stats.engaged);
+      EXPECT_EQ(stats.windows, 0u);
+      return result;
+    };
+    const auto baseline = search(0);
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const auto result = search(threads);
+      EXPECT_EQ(baseline.plan, result.plan);
+      EXPECT_EQ(baseline.plan.name(), result.plan.name());
+      EXPECT_EQ(baseline.predicted_seconds, result.predicted_seconds);
+      EXPECT_EQ(baseline.estimated_seconds, result.estimated_seconds);
+    }
+  }
+}
+
+TEST(Determinism, PdesExecutesEveryCandidateShapeLikeSerial) {
+  // The engine fans pod-confined ring stages out to partition lanes and
+  // keeps everything else (X rings, flat snake rings, halving-doubling
+  // exchanges, the update barrier) on the global lane; every candidate
+  // shape must execute exactly as the serial run does.
+  topo::TopologyConfig shape;
+  shape.pod_size_x = 8;
+  shape.pod_size_y = 8;
+  shape.num_pods = 4;
+  const topo::MeshTopology topo(shape);
   plan::PlanRequest request;
-  request.elems = 1 << 16;
-  request.max_chunks = 4;
-  request.des_top_k = 4;
-  plan::LinkHealthSet health;
-  health.degraded = {
-      {topo.LinkBetween(topo.ChipAt({3, 2}), topo.ChipAt({3, 3})), 8.0}};
-  auto search = [&](int threads) {
-    sim::PdesConfig pdes;
-    pdes.enable = threads > 0;
-    pdes.threads = threads > 0 ? threads : 1;
-    sim::ScopedPdesConfig install(pdes);
-    return plan::FindBestPlan(topo, config, request, health);
+  request.elems = 1 << 14;
+  plan::PlanExecutionConfig exec_config;
+  exec_config.shard_update_seconds = [](std::int64_t owned) {
+    return owned * 1e-9;
   };
-  const auto baseline = search(0);
+  exec_config.deadline.multiple = 3.0;
+  struct Run {
+    plan::PlanExecutionResult result;
+    sim::PdesStats pdes;
+    std::uint64_t events = 0;
+  };
+  auto run = [&](const plan::CollectivePlan& plan, int threads) {
+    sim::Simulator simulator;
+    net::Network network(&topo, {}, &simulator);
+    Run out;
+    sim::PdesConfig pdes;
+    pdes.enable = true;
+    pdes.threads = threads;
+    pdes.stats = &out.pdes;
+    sim::ScopedPdesConfig install(pdes);
+    out.result = plan::ExecutePlan(network, plan, request.elems, exec_config);
+    out.events = out.pdes.engaged ? out.pdes.events_processed
+                                  : simulator.events_processed();
+    return out;
+  };
+  for (const plan::CollectivePlan& plan : plan::GeneratePlans(topo, request)) {
+    SCOPED_TRACE(plan.name());
+    const Run serial = run(plan, 1);
+    const Run engaged = run(plan, 4);
+    EXPECT_EQ(engaged.pdes.engaged, plan.chunks == 1);
+    EXPECT_EQ(engaged.result.reduce_seconds, serial.result.reduce_seconds);
+    EXPECT_EQ(engaged.result.update_seconds, serial.result.update_seconds);
+    EXPECT_EQ(engaged.result.broadcast_seconds,
+              serial.result.broadcast_seconds);
+    ASSERT_EQ(engaged.result.phases.size(), serial.result.phases.size());
+    for (std::size_t i = 0; i < serial.result.phases.size(); ++i) {
+      EXPECT_EQ(engaged.result.phases[i].expected,
+                serial.result.phases[i].expected);
+      EXPECT_EQ(engaged.result.phases[i].actual,
+                serial.result.phases[i].actual);
+    }
+    EXPECT_EQ(engaged.events, serial.events);
+  }
+}
+
+TEST(Determinism, PdesPlannerModeStepIsThreadCountInvariant) {
+  // Planner mode executes its chosen plan through the same stage runner as
+  // the fixed schedule, so a real planned step on a multipod engages the
+  // PDES engine and still matches the serial step field for field.
+  const models::ModelSpec& spec =
+      models::GetModelSpec(models::Benchmark::kResNet50);
+  auto step = [&](int threads, sim::PdesStats* stats) {
+    core::SystemOptions options;
+    options.collective_planner = true;
+    options.pdes.enable = threads > 0;
+    options.pdes.threads = threads > 0 ? threads : 1;
+    options.pdes.stats = stats;
+    topo::TopologyConfig shape;
+    shape.pod_size_x = 16;
+    shape.pod_size_y = 16;
+    shape.num_pods = 2;
+    core::MultipodSystem system(shape, options);
+    return system.SimulateStep(spec, 16384, 1);
+  };
+  sim::PdesStats serial_stats;
+  const core::StepBreakdown serial = step(0, &serial_stats);
+  EXPECT_FALSE(serial_stats.engaged);
   for (const int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const auto result = search(threads);
-    EXPECT_EQ(baseline.plan, result.plan);
-    EXPECT_EQ(baseline.plan.name(), result.plan.name());
-    EXPECT_EQ(baseline.predicted_seconds, result.predicted_seconds);
-    EXPECT_EQ(baseline.estimated_seconds, result.estimated_seconds);
+    sim::PdesStats stats;
+    const core::StepBreakdown got = step(threads, &stats);
+    EXPECT_EQ(stats.engaged, threads > 1);
+    if (stats.engaged) {
+      EXPECT_EQ(stats.partitions, 2);
+    }
+    EXPECT_EQ(got.compute, serial.compute);
+    EXPECT_EQ(got.allreduce, serial.allreduce);
+    EXPECT_EQ(got.overlapped, serial.overlapped);
+    EXPECT_EQ(got.weight_update, serial.weight_update);
+    EXPECT_EQ(got.embedding_comm, serial.embedding_comm);
+    EXPECT_EQ(got.step(), serial.step());
   }
 }
 

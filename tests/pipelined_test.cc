@@ -58,6 +58,15 @@ TEST_P(PipelinedCorrectness, SumsMatchEverywhere) {
 INSTANTIATE_TEST_SUITE_P(Chunks, PipelinedCorrectness,
                          ::testing::Values(1, 2, 3, 4, 8, 16));
 
+TEST(PipelinedDeathTest, ZeroModelParallelStrideIsRejected) {
+  Rig rig(4, 4, /*elems=*/64, 3);
+  GradientSummationConfig config;
+  config.elems = 64;
+  config.model_parallel_stride = 0;
+  EXPECT_DEATH(PipelinedTwoDGradientSummation(rig.network, config, 2),
+               "model_parallel_stride");
+}
+
 TEST(Pipelined, WithModelParallelStride) {
   Rig rig(8, 4, /*elems=*/128, 78);
   GradientSummationConfig config;

@@ -141,36 +141,47 @@ TEST(PlanSchedule, LoweringTracksOwnershipAndSharesSpecs) {
   for (const std::int64_t owned : lowered.owned_elems) {
     EXPECT_EQ(owned, 128);
   }
-  EXPECT_EQ(lowered.max_owned_elems, 128);
 }
 
 // The planner's executor must replay the paper's fixed schedule event for
 // event: same reduce/update/broadcast split, same five-phase breakdown, same
-// monitored timings — bitwise, not approximately.
-void ExpectBitIdentical(const topo::TopologyConfig& config, int stride) {
-  const std::int64_t elems = 1 << 20;
+// monitored timings, same event count — bitwise, not approximately.
+struct BitIdentityCase {
+  topo::TopologyConfig topology;
+  int stride = 1;
+  std::int64_t elems = 1 << 20;
+  bool update_hook = true;
+  bool monitored = true;
+  bool bfloat16_wire = true;  // PaperPlan's preferred wire format
+  bool bidirectional = true;
+};
+
+void ExpectBitIdentical(const BitIdentityCase& c) {
   auto update_cost = [](std::int64_t owned) { return owned * 1e-9; };
   const fault::HealthMonitorConfig monitor;
 
-  Rig fixed(config);
+  Rig fixed(c.topology);
   coll::GradientSummationConfig summation;
-  summation.elems = elems;
-  summation.collective.bfloat16_wire = true;  // match PaperPlan's wire format
-  summation.model_parallel_stride = stride;
-  summation.shard_update_seconds = update_cost;
-  summation.deadline = monitor.ToPhaseDeadline();
+  summation.elems = c.elems;
+  summation.collective.bfloat16_wire = c.bfloat16_wire;
+  summation.collective.bidirectional = c.bidirectional;
+  summation.model_parallel_stride = c.stride;
+  if (c.update_hook) summation.shard_update_seconds = update_cost;
+  if (c.monitored) summation.deadline = monitor.ToPhaseDeadline();
   const coll::GradientSummationResult want =
       coll::TwoDGradientSummation(fixed.network, summation);
 
-  Rig planned(config);
+  Rig planned(c.topology);
   plan::PlanRequest request;
-  request.elems = elems;
-  request.model_parallel_stride = stride;
+  request.elems = c.elems;
+  request.model_parallel_stride = c.stride;
+  request.allow_bfloat16 = c.bfloat16_wire;
+  request.allow_bidirectional = c.bidirectional;
   plan::PlanExecutionConfig exec_config;
-  exec_config.shard_update_seconds = update_cost;
-  exec_config.deadline = monitor.ToPhaseDeadline();
+  exec_config.shard_update_seconds = summation.shard_update_seconds;
+  exec_config.deadline = summation.deadline;
   const plan::PlanExecutionResult got = plan::ExecutePlan(
-      planned.network, plan::PaperPlan(request), elems, exec_config);
+      planned.network, plan::PaperPlan(request), c.elems, exec_config);
 
   EXPECT_EQ(got.reduce_seconds, want.reduce_seconds);
   EXPECT_EQ(got.update_seconds, want.update_seconds);
@@ -186,6 +197,8 @@ void ExpectBitIdentical(const topo::TopologyConfig& config, int stride) {
   EXPECT_EQ(got.summation_phases.y_all_gather,
             want.phase_seconds.y_all_gather);
   EXPECT_EQ(got.max_owned_elems, want.max_owned_elems);
+  EXPECT_EQ(planned.simulator.events_processed(),
+            fixed.simulator.events_processed());
 
   ASSERT_EQ(got.phases.size(), want.phases.size());
   for (std::size_t i = 0; i < want.phases.size(); ++i) {
@@ -199,11 +212,37 @@ void ExpectBitIdentical(const topo::TopologyConfig& config, int stride) {
 }
 
 TEST(PlanExecutor, BitIdenticalToFixedSchedule) {
-  ExpectBitIdentical(topo::TopologyConfig::Slice(32, 16, true), 1);
+  ExpectBitIdentical({topo::TopologyConfig::Slice(32, 16, true)});
 }
 
 TEST(PlanExecutor, BitIdenticalToFixedScheduleStrided) {
-  ExpectBitIdentical(topo::TopologyConfig::Slice(32, 16, true), 4);
+  ExpectBitIdentical({topo::TopologyConfig::Slice(32, 16, true), 4});
+}
+
+TEST(PlanExecutor, BitIdenticalToFixedScheduleSweep) {
+  topo::TopologyConfig multipod;
+  multipod.pod_size_x = 8;
+  multipod.pod_size_y = 8;
+  multipod.num_pods = 4;
+  const topo::TopologyConfig slice = topo::TopologyConfig::Slice(16, 8, true);
+  struct Named {
+    const char* name;
+    BitIdentityCase c;
+  };
+  const Named cases[] = {
+      {"multipod", {multipod}},
+      {"multipod strided", {multipod, 2}},
+      // 100 elements over 128 chips: most X shards are empty ranges.
+      {"payload below chip count", {slice, 1, 100}},
+      {"hook off", {slice, 1, 1 << 16, false}},
+      {"deadline off", {slice, 1, 1 << 16, true, false}},
+      {"fp32 wire", {slice, 1, 1 << 16, true, true, false, true}},
+      {"unidirectional", {slice, 1, 1 << 16, true, true, true, false}},
+  };
+  for (const Named& named : cases) {
+    SCOPED_TRACE(named.name);
+    ExpectBitIdentical(named.c);
+  }
 }
 
 // Functional check: executing non-canonical plans with real buffers still
