@@ -9,7 +9,7 @@
 // shows up. BM_PlannerSearch times a full FindBestPlan (closed-form ranking
 // plus discrete-event re-pricing of the top k), BM_ScalingSweep times a
 // 4-point scaling sweep at 1 and 4 worker threads, and BM_PdesTwoDSummation
-// sweeps the partitioned window engine's worker-thread count on one
+// sweeps the PDES worker-thread count of the per-stage fork/join on one
 // multi-pod collective (sim_ms/sim_events bit-identical at every count).
 //
 // --smoke (or TPU_BENCH_SMOKE=1) restricts the run to the cheap variant of
@@ -27,7 +27,7 @@
 #include "core/sweep.h"
 #include "network/network.h"
 #include "plan/planner.h"
-#include "sim/partitioned_simulator.h"
+#include "sim/pdes.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 
@@ -156,9 +156,9 @@ void BM_ScalingSweep(benchmark::State& state) {
 BENCHMARK(BM_ScalingSweep)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_PdesTwoDSummation(benchmark::State& state) {
-  // Time-only 2-D summation on 4 pods under the conservative window engine;
-  // the argument is the PDES worker-thread count (1 = the engine stands
-  // down and the serial path runs). The compare gate holds sim_ms and
+  // Time-only 2-D summation on 4 pods with each stage forked into its
+  // link-disjoint ring groups; the argument is the PDES worker-thread count
+  // (1 = nothing forks and the serial path runs). The compare gate holds sim_ms and
   // sim_events on every row to the same values — that IS the bit-identity
   // contract — while wall-clock scaling depends on available cores: on
   // single-vCPU CI runners the rows stay flat and only the simulated
@@ -185,7 +185,7 @@ void BM_PdesTwoDSummation(benchmark::State& state) {
     state.counters["sim_events"] = static_cast<double>(
         stats.engaged ? stats.events_processed : simulator.events_processed());
     state.counters["sim_ms"] = ToMillis(result.total());
-    state.counters["pdes_windows"] = static_cast<double>(stats.windows);
+    state.counters["pdes_forked_stages"] = static_cast<double>(stats.windows);
   }
   state.SetLabel("threads=" + std::to_string(threads));
 }

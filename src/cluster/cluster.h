@@ -59,11 +59,10 @@ struct ClusterConfig {
   topo::TopologyConfig topology{.pod_size_x = 8, .pod_size_y = 8,
                                 .num_pods = 2};
   // Per-tenant system model. `system.pdes` flows into every tenant step
-  // simulation: multi-pod tenant slices drain their pod-confined collective
-  // phases on the windowed PDES engine when it asks for >1 thread, while
-  // single-pod slices (and the carved scheduler bookkeeping) legitimately
-  // degenerate to the serial path — cluster reports are byte-identical at
-  // any thread count either way.
+  // simulation: when it asks for >1 thread, every tenant slice, single-pod
+  // or multi-pod, forks its summation stages into link-disjoint ring groups
+  // (the carved scheduler bookkeeping stays serial) — cluster reports are
+  // byte-identical at any thread count either way.
   core::SystemOptions system;
   frameworks::Framework framework = frameworks::Framework::kTensorFlow;
 

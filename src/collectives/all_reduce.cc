@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 
 #include "collectives/halving_doubling.h"
 #include "common/check.h"
 #include "common/math_util.h"
-#include "sim/partitioned_simulator.h"
+#include "common/thread_pool.h"
+#include "sim/pdes.h"
 #include "sim/simulator.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -107,6 +109,142 @@ TwoDRings BuildTwoDRings(const topo::MeshTopology& topo, const Range& range,
   return rings;
 }
 
+// Starts one stage's collective over `specs`; `on_done` fires when every
+// group completes.
+void StartStage(net::Network& network, const SummationStage& stage,
+                std::vector<RingSpec> specs, const CollectiveOptions& options,
+                std::function<void()> on_done) {
+  const bool rs = stage.op == SummationStage::Op::kReduceScatter;
+  if (stage.halving_doubling) {
+    rs ? StartHdReduceScatter(network, std::move(specs), options,
+                              std::move(on_done))
+       : StartHdAllGather(network, std::move(specs), options,
+                          std::move(on_done));
+  } else {
+    rs ? StartReduceScatter(network, std::move(specs), options,
+                            std::move(on_done))
+       : StartAllGather(network, std::move(specs), options,
+                        std::move(on_done));
+  }
+}
+
+// Calls fn(from, to) for every chip pair one group of a stage sends between:
+// ring neighbours in one or both directions (ring.cc's RingPass), or
+// halving-doubling partners at every power-of-two rank distance
+// (halving_doubling.cc's HdPass).
+template <typename Fn>
+void ForEachSendPair(const SummationStage& stage, const RingSpec& spec,
+                     const CollectiveOptions& options, Fn&& fn) {
+  const int n = spec.size();
+  if (n <= 1 || spec.range.size() == 0) return;
+  for (int rank = 0; rank < n; ++rank) {
+    if (stage.halving_doubling) {
+      for (int distance = 1; distance < n; distance <<= 1) {
+        fn(spec.order[rank], spec.order[rank ^ distance]);
+      }
+      continue;
+    }
+    const topo::ChipId next = spec.order[(rank + 1) % n];
+    fn(spec.order[rank], next);
+    if (options.bidirectional && n > 2) fn(next, spec.order[rank]);
+  }
+}
+
+// Splits a stage's groups into link-disjoint components: union-find over the
+// links their messages route across. Walking the routes warms every route
+// cache entry the stage will read. Components come out in the order of
+// their first group, each holding its groups in stage order. Y rings on
+// different columns, or X rings on different rows, share no link; strided X
+// rings on one row do, and land in one component.
+std::vector<std::vector<RingSpec>> LinkDisjointComponents(
+    const net::Network& network, const SummationStage& stage,
+    const CollectiveOptions& options) {
+  const std::vector<RingSpec>& specs = *stage.specs;
+  const int n = static_cast<int>(specs.size());
+  std::vector<int> parent(n);
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&parent](int s) {
+    while (parent[s] != s) s = parent[s] = parent[parent[s]];
+    return s;
+  };
+  std::vector<int> link_owner(network.topology().links().size(), -1);
+  for (int s = 0; s < n; ++s) {
+    ForEachSendPair(stage, specs[s], options,
+                    [&](topo::ChipId from, topo::ChipId to) {
+      if (from == to) return;
+      network.ForEachRouteLink(from, to, [&](topo::LinkId link) {
+        int& owner = link_owner[link];
+        if (owner < 0) {
+          owner = s;
+        } else {
+          parent[find(owner)] = find(s);
+        }
+      });
+    });
+  }
+  std::vector<int> component_of(n, -1);
+  std::vector<std::vector<RingSpec>> components;
+  for (int s = 0; s < n; ++s) {
+    int& c = component_of[find(s)];
+    if (c < 0) {
+      c = static_cast<int>(components.size());
+      components.emplace_back();
+    }
+    components[c].push_back(specs[s]);
+  }
+  return components;
+}
+
+// What one forked component leaves for the join.
+struct LaneResult {
+  SimTime end = 0;
+  std::uint64_t events_processed = 0;
+  std::uint64_t events_scheduled = 0;
+  net::TrafficStats traffic;
+};
+
+// Runs each component of a stage on its own Simulator, one pool task per
+// component, every lane starting at `start`. The join adds each lane's
+// traffic and events in component order and returns the latest lane end.
+SimTime ForkStage(ThreadPool& pool, net::Network& network,
+                  const SummationStage& stage,
+                  std::vector<std::vector<RingSpec>> components,
+                  const CollectiveOptions& options, SimTime start,
+                  sim::PdesStats& stats) {
+  std::vector<LaneResult> lanes(components.size());
+  for (std::size_t c = 0; c < components.size(); ++c) {
+    pool.Schedule([&, c] {
+      sim::Simulator simulator;
+      net::Lane lane(&simulator);
+      LaneResult& out = lanes[c];
+      {
+        net::ScopedLane scope(&lane);
+        simulator.ExecuteAt(start, [&] {
+          StartStage(network, stage, std::move(components[c]), options,
+                     [&out, &simulator] { out.end = simulator.now(); });
+        });
+        simulator.Run();
+      }
+      out.events_processed = simulator.events_processed();
+      out.events_scheduled = simulator.events_scheduled();
+      out.traffic = lane.traffic;
+    });
+  }
+  pool.Wait();
+  SimTime end = start;
+  std::uint64_t forked = 0;
+  for (const LaneResult& lane : lanes) {
+    end = std::max(end, lane.end);
+    forked += lane.events_processed;
+    stats.events_scheduled += lane.events_scheduled;
+    network.MergeTraffic(lane.traffic);
+  }
+  stats.events_processed += forked;
+  ++stats.windows;
+  stats.partition_events_processed.push_back(forked);
+  return end;
+}
+
 }  // namespace
 
 // All rings run concurrently; a ring pass is (n-1) barrier-synchronized
@@ -189,34 +327,27 @@ SummationRun RunSummationStages(
   // just before each stage schedules its events. Pure observation.
   sim::EventObserver* observer = sim::CurrentEventObserver();
 
-  // PDES engagement (sim/partitioned_simulator.h): when the ambient config
-  // asks for >1 worker and the run qualifies — a multi-pod topology,
-  // time-only (no payload buffers, so no shared payload state), and no
-  // observation session installed (trace/metrics record per-event state on
-  // the issuing thread; observed runs and sweeps force the serial path the
-  // same way threaded sweeps do) — the run executes on the windowed engine:
-  // pod-confined ring stages drain on parallel partition lanes while
-  // pod-spanning stages and the stage chain stay on the global lane.
-  // Timestamps, event counts and traffic totals are bit-identical to the
-  // serial path at any thread count. threads <= 1 never constructs the
-  // engine, so the serial path pays exactly one branch here.
+  // Fork/join (DESIGN.md §16): when the ambient sim::PdesConfig asks for
+  // more than one thread and the run is time-only (no payload buffers, so
+  // no shared payload state) and unobserved (trace, metrics and causal
+  // observers record per-event state on the issuing thread), each stage
+  // whose groups split into several link-disjoint components, and which
+  // starts with nothing else pending on `simulator`, runs each component on
+  // a Simulator of its own on a thread pool. The chain continues at the
+  // latest component end. Timestamps, event counts and traffic totals are
+  // bit-identical to the serial run at any thread count; threads <= 1 pays
+  // exactly one branch here.
   const sim::PdesConfig& pdes = sim::CurrentPdesConfig();
   const bool time_only =
       std::none_of(stages.begin(), stages.end(), [](const SummationStage& s) {
         return !s.specs->empty() && s.specs->front().has_data();
       });
-  const bool pdes_engaged =
-      pdes.enable && pdes.threads > 1 && topo.num_pods() > 1 && time_only &&
-      trace::CurrentTrace() == nullptr && observer == nullptr &&
-      trace::CurrentMetrics() == nullptr;
-  std::unique_ptr<sim::PartitionedSimulator> engine;
-  std::unique_ptr<sim::ScopedEngine> engine_scope;
-  if (pdes_engaged) {
-    engine = std::make_unique<sim::PartitionedSimulator>(
-        &simulator, topo.num_pods(), network.CrossPodLookahead(), pdes.threads,
-        pdes.window);
-    engine_scope = std::make_unique<sim::ScopedEngine>(engine.get());
-  }
+  const bool engaged = pdes.enable && pdes.threads > 1 && time_only &&
+                       trace::CurrentTrace() == nullptr &&
+                       observer == nullptr &&
+                       trace::CurrentMetrics() == nullptr;
+  std::unique_ptr<ThreadPool> pool;
+  sim::PdesStats stats;
 
   // Per transition: record the stage end, run the sharded update if it sits
   // here, estimate the next stage, label it, start it.
@@ -255,22 +386,34 @@ SummationRun RunSummationStages(
       simulator.Schedule(0.0, std::move(next));
       return;
     }
-    const bool rs = stage.op == SummationStage::Op::kReduceScatter;
-    if (stage.halving_doubling) {
-      rs ? StartHdReduceScatter(network, *stage.specs, options, std::move(next))
-         : StartHdAllGather(network, *stage.specs, options, std::move(next));
-    } else {
-      rs ? StartReduceScatter(network, *stage.specs, options, std::move(next))
-         : StartAllGather(network, *stage.specs, options, std::move(next));
+    // Fork only with nothing else pending: a scheduled fault or telemetry
+    // tick could change the links or sample the network mid-stage, and must
+    // run on this simulator at its serial instant.
+    if (engaged && simulator.empty()) {
+      std::vector<std::vector<RingSpec>> components =
+          LinkDisjointComponents(network, stage, options);
+      if (components.size() > 1) {
+        if (pool == nullptr) pool = std::make_unique<ThreadPool>(pdes.threads);
+        simulator.ExecuteAt(ForkStage(*pool, network, stage,
+                                      std::move(components), options,
+                                      simulator.now(), stats),
+                            next);
+        return;
+      }
     }
+    StartStage(network, stage, *stage.specs, options, std::move(next));
   };
   launch(0);
-  if (engine != nullptr) {
-    engine->Run();
-    if (pdes.stats != nullptr) *pdes.stats = engine->Stats();
-  } else {
-    simulator.Run();
-    if (pdes.stats != nullptr) pdes.stats->engaged = false;
+  simulator.Run();
+  if (pdes.stats != nullptr) {
+    if (engaged) {
+      stats.engaged = true;
+      stats.events_processed += simulator.events_processed();
+      stats.events_scheduled += simulator.events_scheduled();
+      *pdes.stats = std::move(stats);
+    } else {
+      pdes.stats->engaged = false;
+    }
   }
   TPU_CHECK_GE(run.stage_end.back(), 0.0);
   if (run.update_end < 0) run.update_end = run.stage_end[update_after];
@@ -369,10 +512,9 @@ GradientSummationResult TwoDGradientSummation(
   return result;
 }
 
-// Deliberately ignores the ambient PdesConfig and always runs serially:
-// slices interleave Y and X phases in time, so no window ever has all
-// pending work pod-confined and the engine would degenerate to the serial
-// schedule while paying the protocol overhead.
+// Runs serially whatever the ambient PdesConfig: slices interleave Y and X
+// phases in time, so no instant has every pending ring in link-disjoint
+// groups that could fork.
 SimTime PipelinedTwoDGradientSummation(
     net::Network& network, const GradientSummationConfig& config, int chunks,
     std::vector<float*> chip_buffers, PipelinedSummationReport* report) {

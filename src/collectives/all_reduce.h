@@ -147,9 +147,10 @@ struct SummationRun {
 // through completion callbacks and the simulator runs once at the end, so
 // externally armed events (fault injections and their healings) fire
 // mid-collective. Each stage's expectation (when `deadline` is enabled) is
-// estimated at its start, against the then-current link occupancy. Engages
-// the windowed PDES engine when the ambient sim::PdesConfig asks for it and
-// the run qualifies (see the definition).
+// estimated at its start, against the then-current link occupancy. When the
+// ambient sim::PdesConfig asks for threads and the run qualifies (see the
+// definition), a stage forks its link-disjoint groups onto a thread pool and
+// joins them at its end; results are bit-identical to the serial run.
 SummationRun RunSummationStages(
     net::Network& network, const SummationSchedule& schedule,
     const CollectiveOptions& options,

@@ -8,7 +8,6 @@
 #include "common/bfloat16.h"
 #include "common/check.h"
 #include "common/math_util.h"
-#include "sim/partitioned_simulator.h"
 #include "sim/simulator.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -241,53 +240,16 @@ void StartRing(net::Network& network, const RingSpec& spec,
   ccw_pass->Start();
 }
 
-// PDES fan-out: when a partitioned engine is installed on this thread and
-// every ring in the phase is time-only and confined to a single pod, the
-// phase runs on the engine's partition lanes instead of the global one. Each
-// pod's rings start in that pod's lane context at the global lane's current
-// instant (exactly when the serial run would start them inline), and each
-// ring's completion is buffered with DeferJoinNotify so the engine releases
-// the outer barrier on the global lane at the maximum per-ring finish time —
-// the same instant the serial outer barrier would fire. Phases with data
-// payloads, rings spanning pods, or an active trace recorder fall back to
-// the serial path (returns false, `*on_done` untouched).
-bool MaybeStartPartitioned(net::Network& network,
-                           const std::vector<RingSpec>& rings,
-                           RingPass::Kind kind, const CollectiveOptions& options,
-                           std::function<void()>* on_done) {
-  sim::PartitionedSimulator* engine = sim::CurrentEngine();
-  if (engine == nullptr || sim::CurrentPartitionIndex() >= 0) return false;
-  if (trace::CurrentTrace() != nullptr) return false;
-  if (rings.empty()) return false;
-  std::vector<std::vector<const RingSpec*>> by_pod(engine->partitions());
-  for (const RingSpec& spec : rings) {
-    if (spec.has_data() || spec.order.empty()) return false;
-    if (!network.topology().SamePod(spec.order)) return false;
-    const int pod = network.PodOf(spec.order.front());
-    if (pod < 0 || pod >= engine->partitions()) return false;
-    by_pod[pod].push_back(&spec);
-  }
-
+// Starts every ring concurrently; `on_done` fires when the last completes.
+void StartRings(net::Network& network, const std::vector<RingSpec>& rings,
+                RingPass::Kind kind, const CollectiveOptions& options,
+                std::function<void()> on_done) {
   auto outer = std::make_shared<sim::Barrier>(
       static_cast<int>(rings.size()),
-      [done = std::move(*on_done)]() mutable { done(); });
-  net::Network* net_ptr = &network;
-  std::vector<std::function<void()>> starters(by_pod.size());
-  for (std::size_t p = 0; p < by_pod.size(); ++p) {
-    if (by_pod[p].empty()) continue;
-    // Starters run synchronously inside FanOut (each under its lane's
-    // execution context), so the RingSpec pointers into the caller's vector
-    // stay valid — RingPass copies the spec contents immediately.
-    starters[p] = [net_ptr, kind, options, outer, engine,
-                   group = std::move(by_pod[p])] {
-      for (const RingSpec* spec : group) {
-        StartRing(*net_ptr, *spec, kind, options,
-                  [engine, outer] { engine->DeferJoinNotify(outer); });
-      }
-    };
+      [done = std::move(on_done)]() mutable { done(); });
+  for (const RingSpec& spec : rings) {
+    StartRing(network, spec, kind, options, [outer] { outer->Notify(); });
   }
-  engine->FanOut(std::move(starters));
-  return true;
 }
 
 SimTime RunRings(net::Network& network, const std::vector<RingSpec>& rings,
@@ -334,33 +296,15 @@ std::vector<Range> OwnedAfterReduceScatter(const Range& range, int ring_size,
 void StartReduceScatter(net::Network& network, std::vector<RingSpec> rings,
                         const CollectiveOptions& options,
                         std::function<void()> on_done) {
-  if (MaybeStartPartitioned(network, rings, RingPass::Kind::kReduceScatter,
-                            options, &on_done)) {
-    return;
-  }
-  auto outer = std::make_shared<sim::Barrier>(
-      static_cast<int>(rings.size()),
-      [done = std::move(on_done)]() mutable { done(); });
-  for (const RingSpec& spec : rings) {
-    StartRing(network, spec, RingPass::Kind::kReduceScatter, options,
-              [outer] { outer->Notify(); });
-  }
+  StartRings(network, rings, RingPass::Kind::kReduceScatter, options,
+             std::move(on_done));
 }
 
 void StartAllGather(net::Network& network, std::vector<RingSpec> rings,
                     const CollectiveOptions& options,
                     std::function<void()> on_done) {
-  if (MaybeStartPartitioned(network, rings, RingPass::Kind::kAllGather,
-                            options, &on_done)) {
-    return;
-  }
-  auto outer = std::make_shared<sim::Barrier>(
-      static_cast<int>(rings.size()),
-      [done = std::move(on_done)]() mutable { done(); });
-  for (const RingSpec& spec : rings) {
-    StartRing(network, spec, RingPass::Kind::kAllGather, options,
-              [outer] { outer->Notify(); });
-  }
+  StartRings(network, rings, RingPass::Kind::kAllGather, options,
+             std::move(on_done));
 }
 
 SimTime ReduceScatter(net::Network& network, std::vector<RingSpec> rings,

@@ -254,7 +254,7 @@ StepBreakdown MultipodSystem::SimulateStep(const models::ModelSpec& spec,
   net::Network network(&topology_, options_.network, &simulator);
   // Publish the system's PDES request for the duration of the step; the
   // summation (fixed or planned) decides whether the step qualifies
-  // (multi-pod, time-only, unobserved) and silently stays serial otherwise.
+  // (time-only, unobserved) and silently stays serial otherwise.
   // Planner candidate evaluations always stay serial.
   sim::ScopedPdesConfig pdes_scope(options_.pdes);
   coll::GradientSummationConfig summation;

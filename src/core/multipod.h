@@ -27,7 +27,7 @@
 #include "optim/optimizer.h"
 #include "plan/cache.h"
 #include "recover/recovery.h"
-#include "sim/partitioned_simulator.h"
+#include "sim/pdes.h"
 #include "topology/topology.h"
 #include "trace/run_report.h"
 #include "trace/step_profiler.h"
@@ -68,12 +68,12 @@ struct SystemOptions {
   // matrix rows (one 128-row MXU tile).
   double max_utilization = 0.55;
   double rows_half_saturation = 128;
-  // Parallel discrete-event engine request for the per-step gradient
-  // summation (sim/partitioned_simulator.h). Defaults to disabled/1-thread,
-  // which leaves every simulated path byte-identical to the serial engine.
-  // With enable and threads > 1, qualifying steps (multi-pod, time-only,
-  // unobserved) drain pod-confined collective phases on parallel partition
-  // lanes — same timestamps and event counts at any thread count. Observed
+  // Within-run parallelism for the per-step gradient summation
+  // (sim/pdes.h). Defaults to disabled/1-thread, the serial path. With
+  // enable and threads > 1, qualifying steps (time-only, unobserved) fork
+  // each summation stage's link-disjoint ring groups — columns for Y
+  // stages, rows for X stages — onto a thread pool and join at the stage's
+  // end: same timestamps and event counts at any thread count. Observed
   // steps (trace/metrics/critical-path sessions) and the planner's candidate
   // evaluations fall back to the serial path automatically.
   sim::PdesConfig pdes;

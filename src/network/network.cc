@@ -50,21 +50,6 @@ Network::Network(const topo::MeshTopology* topology,
   degradation_.assign(topology_->links().size(), 1.0);
   failed_.assign(topology_->links().size(), 0);
   route_cache_.resize(topology_->num_chips());
-  // One traffic shard per pod (= PDES partition); sized here so concurrent
-  // partition drains never resize shared storage.
-  traffic_shards_.resize(topology_->config().num_pods);
-}
-
-TrafficStats Network::traffic() const {
-  TrafficStats total = traffic_;
-  for (const TrafficStats& shard : traffic_shards_) {
-    total.mesh_x_bytes += shard.mesh_x_bytes;
-    total.cross_pod_x_bytes += shard.cross_pod_x_bytes;
-    total.mesh_y_bytes += shard.mesh_y_bytes;
-    total.wrap_y_bytes += shard.wrap_y_bytes;
-    total.messages += shard.messages;
-  }
-  return total;
 }
 
 const Network::CachedRoute& Network::RouteFor(topo::ChipId from,
@@ -74,6 +59,9 @@ const Network::CachedRoute& Network::RouteFor(topo::ChipId from,
   for (const auto& [dst, route] : routes) {
     if (dst == to) return route;
   }
+  TPU_CHECK(ScopedLane::Current() == nullptr)
+      << "route " << from << "->" << to
+      << " was not warmed before the stage forked";
 
   const std::vector<topo::LinkId> links = topology_->RouteLinks(from, to);
   TPU_CHECK(!links.empty());
@@ -91,11 +79,11 @@ const Network::CachedRoute& Network::RouteFor(topo::ChipId from,
 void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
                    sim::Simulator::Callback on_done) {
   TPU_CHECK_GE(bytes, 0);
-  // During a PDES partition drain, clock reads, completion scheduling and
-  // traffic accounting all route to the active lane; serially both resolve
-  // to the members.
-  sim::Simulator& des = sim::ActiveSimulatorOr(simulator_);
-  TrafficStats& traffic = ActiveTraffic();
+  // On a fork lane, clock reads, completion scheduling and traffic
+  // accounting all go to the lane; otherwise to the members.
+  Lane* lane = ScopedLane::Current();
+  sim::Simulator& des = lane != nullptr ? *lane->simulator : *simulator_;
+  TrafficStats& traffic = lane != nullptr ? lane->traffic : traffic_;
   ++traffic.messages;
   trace::TraceRecorder* recorder = trace::CurrentTrace();
   trace::MetricsRegistry* metrics = trace::CurrentMetrics();

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "sim/exec_context.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 #include "trace/metrics.h"
@@ -65,6 +64,48 @@ struct TrafficStats {
   Bytes total_bytes() const {
     return mesh_x_bytes + cross_pod_x_bytes + mesh_y_bytes + wrap_y_bytes;
   }
+  TrafficStats& operator+=(const TrafficStats& other) {
+    mesh_x_bytes += other.mesh_x_bytes;
+    cross_pod_x_bytes += other.cross_pod_x_bytes;
+    mesh_y_bytes += other.mesh_y_bytes;
+    wrap_y_bytes += other.wrap_y_bytes;
+    messages += other.messages;
+    return *this;
+  }
+};
+
+// A fork lane. While a thread runs one link-disjoint group of a forked
+// summation stage (coll::RunSummationStages) on a Simulator of its own, every
+// Network reads that simulator's clock, schedules completions on it and
+// counts traffic into `traffic`; the stage's join hands the lanes' traffic
+// back with Network::MergeTraffic. A thread without a lane uses each
+// network's own simulator and counters, at the cost of one thread-local load
+// and branch per Send.
+struct Lane {
+  explicit Lane(sim::Simulator* lane_simulator) : simulator(lane_simulator) {}
+
+  sim::Simulator* simulator;
+  TrafficStats traffic;
+};
+
+class ScopedLane {
+ public:
+  explicit ScopedLane(Lane* lane) : previous_(Slot()) { Slot() = lane; }
+  ~ScopedLane() { Slot() = previous_; }
+
+  ScopedLane(const ScopedLane&) = delete;
+  ScopedLane& operator=(const ScopedLane&) = delete;
+
+  // The thread's lane, or nullptr.
+  static Lane* Current() { return Slot(); }
+
+ private:
+  static Lane*& Slot() {
+    thread_local Lane* lane = nullptr;
+    return lane;
+  }
+
+  Lane* previous_;
 };
 
 class Network {
@@ -73,19 +114,15 @@ class Network {
           sim::Simulator* simulator);
 
   const topo::MeshTopology& topology() const { return *topology_; }
-  // The simulator driving this network. During a PDES partition drain this
-  // resolves to the active partition lane (sim/exec_context.h), so sends and
-  // clock reads issued by partition-confined work land on the right event
-  // queue; serial runs pay one thread-local load and branch.
-  sim::Simulator& simulator() { return sim::ActiveSimulatorOr(simulator_); }
+  // The simulator driving this network: the thread's fork lane's simulator
+  // while one is installed (ScopedLane), the constructor's otherwise.
+  sim::Simulator& simulator() {
+    Lane* lane = ScopedLane::Current();
+    return lane != nullptr ? *lane->simulator : *simulator_;
+  }
   const NetworkConfig& config() const { return config_; }
 
-  // Pod -> PDES partition mapping and the lookahead floor: cross-pod traffic
-  // pays at least the cross-pod optical-link latency, so a partition (= pod)
-  // can never affect another pod sooner than this far in the simulated
-  // future. This is what bounds the engine's synchronized-window width.
   int PodOf(topo::ChipId chip) const { return topology_->PodOf(chip); }
-  SimTime CrossPodLookahead() const { return config_.cross_pod_x.latency; }
 
   // Sends `bytes` from `from` to `to` along the dimension-ordered route.
   // `on_done` fires at the simulated time the message fully arrives.
@@ -102,11 +139,19 @@ class Network {
   SimTime EstimateArrival(topo::ChipId from, topo::ChipId to,
                           Bytes bytes) const;
 
-  // Lifetime traffic accounting, merged across the per-partition shards a
-  // PDES run accumulates into (serial runs only ever touch the main shard,
-  // so the merge is the identity). Deterministic: plain integer sums in
-  // fixed shard order.
-  TrafficStats traffic() const;
+  // Lifetime traffic accounting.
+  TrafficStats traffic() const { return traffic_; }
+  // Adds a fork lane's traffic (the join of a forked stage, in group order).
+  void MergeTraffic(const TrafficStats& lane) { traffic_ += lane; }
+
+  // Calls fn(link) for every link of the (from, to) route, warming its route
+  // cache entry. A forked stage's grouping pass walks every route its groups
+  // will send over this way, on the forking thread, so that lanes only ever
+  // read the cache.
+  template <typename Fn>
+  void ForEachRouteLink(topo::ChipId from, topo::ChipId to, Fn&& fn) const {
+    for (const CachedHop& hop : RouteFor(from, to).hops) fn(hop.link);
+  }
   // Highest per-link utilization (busy fraction of elapsed sim time).
   double MaxLinkUtilization() const;
   // Mean utilization across links that carried any traffic.
@@ -181,16 +226,6 @@ class Network {
   trace::TraceRecorder::TrackId LinkTrack(trace::TraceRecorder* recorder,
                                           topo::LinkId link);
 
-  // The traffic shard the current execution context accumulates into: the
-  // active PDES partition's shard during a lane drain, the main counters
-  // otherwise.
-  TrafficStats& ActiveTraffic() {
-    const int lane = sim::CurrentPartitionIndex();
-    if (lane < 0) return traffic_;
-    TPU_CHECK_LT(static_cast<std::size_t>(lane), traffic_shards_.size());
-    return traffic_shards_[lane];
-  }
-
   // One hop of a cached route: everything Send needs that is invariant
   // across messages. Live state (degradation, failure, FIFO occupancy) is
   // read fresh per message, so caching never changes behaviour. The
@@ -208,7 +243,9 @@ class Network {
 
   // Returns the cached hop schedule for (from, to), computing and memoizing
   // it on first use. Routes depend only on the (immutable) topology and the
-  // per-construction config, so entries are never invalidated.
+  // per-construction config, so entries are never invalidated. A miss on a
+  // thread with a fork lane fails loudly: lanes run concurrently and may
+  // only read the cache (see route_cache_).
   const CachedRoute& RouteFor(topo::ChipId from, topo::ChipId to) const;
 
   // Recomputes the effective degradation_[link] after a source was added or
@@ -227,21 +264,15 @@ class Network {
   // short-lived, so a flat list with linear scans beats per-link storage.
   std::vector<std::pair<topo::LinkId, double>> degrade_sources_;
   TrafficStats traffic_;
-  // Per-pod shards for PDES partition drains (sized num_pods at
-  // construction, so concurrent lanes never resize shared storage).
-  std::vector<TrafficStats> traffic_shards_;
   // Indexed by source chip; each entry is the handful of (destination,
   // hop schedule) pairs that source has ever messaged — collectives only talk
   // to ring/recursive-halving neighbours, so a linear scan beats hashing.
   // Mutable because EstimateArrival is const but may warm the cache.
   //
-  // Concurrency contract (PDES): the outer vector is sized at construction
-  // and never resized, so concurrent access to distinct sources never
-  // touches shared storage. Each inner list is owned by its source chip:
-  // during partition drains only the partition (pod) that owns the source
-  // chip reads or warms it, and cross-pod sources are only ever exercised
-  // from the global lane (which runs with every partition worker parked).
-  // network_test's Pdes* cases hold this contract under TSan.
+  // Concurrency contract (forked stages): the forking thread warms every
+  // route a stage's groups will use (ForEachRouteLink) before the lanes
+  // start, and parks until they join, so during a fork the cache is only
+  // read. network_test's NetworkPdes cases hold this contract under TSan.
   mutable std::vector<std::vector<std::pair<topo::ChipId, CachedRoute>>>
       route_cache_;
 

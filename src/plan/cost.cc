@@ -6,7 +6,7 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "plan/executor.h"
-#include "sim/partitioned_simulator.h"
+#include "sim/pdes.h"
 #include "sim/simulator.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -148,7 +148,7 @@ SimTime EvaluatePlanOnSimulator(const topo::MeshTopology& topo,
   // causal observer so the search leaves no spans, counters, or event
   // records behind — only the chosen plan's real execution is observable.
   // They also stay serial: under an ambient PDES request every candidate
-  // would otherwise build its own partitioned engine and thread pool.
+  // would otherwise fork its stages onto a thread pool of its own.
   trace::ScopedTrace no_trace(nullptr);
   trace::ScopedMetrics no_metrics(nullptr);
   sim::ScopedEventObserver no_observer(nullptr);

@@ -45,20 +45,6 @@ class CallbackPool {
     return pool;
   }
 
-  // The pool new pooled captures draw from on this thread. Defaults to the
-  // thread's own pool; the PDES engine points it at a per-partition pool for
-  // the duration of a partition drain so a lane's blocks recycle through the
-  // same pool no matter which worker thread runs the lane in a given window
-  // (Free already routes blocks home via the block header). One extra
-  // thread-local pointer load on the pooled-capture path; the serial path is
-  // otherwise unchanged.
-  static CallbackPool& Active() { return *ActiveSlot(); }
-
-  static CallbackPool*& ActiveSlot() {
-    thread_local CallbackPool* active = &ThisThread();
-    return active;
-  }
-
   CallbackPool() = default;
   CallbackPool(const CallbackPool&) = delete;
   CallbackPool& operator=(const CallbackPool&) = delete;
@@ -139,25 +125,6 @@ class CallbackPool {
   Stats stats_;
 };
 
-// RAII override of the thread's active callback pool (see
-// CallbackPool::Active). Installed by the PDES engine around every stretch of
-// code that executes in a partition lane's context.
-class ScopedCallbackPool {
- public:
-  explicit ScopedCallbackPool(CallbackPool* pool)
-      : previous_(CallbackPool::ActiveSlot()) {
-    TPU_CHECK(pool != nullptr);
-    CallbackPool::ActiveSlot() = pool;
-  }
-  ~ScopedCallbackPool() { CallbackPool::ActiveSlot() = previous_; }
-
-  ScopedCallbackPool(const ScopedCallbackPool&) = delete;
-  ScopedCallbackPool& operator=(const ScopedCallbackPool&) = delete;
-
- private:
-  CallbackPool* previous_;
-};
-
 class EventCallback {
  public:
   // Sized so a Simulator event (when + seq + vtable + this buffer) is exactly
@@ -184,7 +151,7 @@ class EventCallback {
       ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
       ops_ = &InlineOps<Fn>::ops;
     } else {
-      void* mem = CallbackPool::Active().Allocate(sizeof(Fn));
+      void* mem = CallbackPool::ThisThread().Allocate(sizeof(Fn));
       Fn* obj = ::new (mem) Fn(std::forward<F>(f));
       void* p = obj;
       std::memcpy(buffer_, &p, sizeof(p));

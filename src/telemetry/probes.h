@@ -9,7 +9,6 @@
 #pragma once
 
 #include "network/network.h"
-#include "sim/partitioned_simulator.h"
 #include "sim/simulator.h"
 #include "telemetry/sampler.h"
 #include "topology/topology.h"
@@ -32,17 +31,5 @@ void RegisterNetworkProbes(TimeSeriesSampler& sampler,
 // Per-link close-up: net.link.<id>.util and net.link.<id>.backlog_s.
 void RegisterLinkProbes(TimeSeriesSampler& sampler, const net::Network& network,
                         topo::LinkId link);
-
-// PDES engine close-up: pdes.windows, pdes.barrier_waits,
-// pdes.cross_messages, pdes.join_notifications, pdes.queue_depth (pending
-// work events across every lane — the stop-predicate signal for sampled
-// engine runs), and per-partition pdes.partition.<p>.queue_depth /
-// pdes.partition.<p>.events_processed. The per-partition pair is the live
-// load-imbalance signal: a lane whose events_processed trails its peers
-// while its queue stays deep marks a pod whose rings bottleneck the window.
-// All probes are pure functions of the simulated protocol state, so sampled
-// series are byte-identical across repeats at any thread count.
-void RegisterPdesProbes(TimeSeriesSampler& sampler,
-                        const sim::PartitionedSimulator& engine);
 
 }  // namespace tpu::telemetry

@@ -17,7 +17,6 @@
 #include "common/units.h"
 
 namespace tpu::sim {
-class PartitionedSimulator;
 class Simulator;
 }  // namespace tpu::sim
 
@@ -129,17 +128,6 @@ class ScopedMetrics {
 // split (inline vs pooled), callback-pool allocator health (hits vs fresh vs
 // oversize allocations), and calendar-queue window refills.
 void ExportSimulatorMetrics(const sim::Simulator& simulator,
-                            const std::string& prefix,
-                            MetricsRegistry& metrics);
-
-// PDES overload: exports the merged work-event statistics of every lane
-// (global + partitions) under `prefix` — bit-identical totals to the serial
-// run's export — plus the engine's protocol accounting under `prefix`.pdes.*:
-// windows, sub-round barrier waits, cross-partition messages, join
-// notifications, engine-class event count, lookahead/window widths, and
-// per-partition processed-event gauges (the load-imbalance signal the
-// telemetry probe pack samples live).
-void ExportSimulatorMetrics(const sim::PartitionedSimulator& engine,
                             const std::string& prefix,
                             MetricsRegistry& metrics);
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -11,8 +13,11 @@
 #include "collectives/xfer.h"
 #include "common/rng.h"
 #include "network/network.h"
-#include "sim/partitioned_simulator.h"
+#include "sim/pdes.h"
 #include "sim/simulator.h"
+#include "telemetry/probes.h"
+#include "telemetry/sampler.h"
+#include "telemetry/telemetry.h"
 #include "topology/topology.h"
 
 namespace tpu::coll {
@@ -460,51 +465,10 @@ TEST(PhaseDeadline, SmallExpectationsFloorLargeOnesScale) {
   EXPECT_EQ(deadline.DeadlineFor(Micros(100)), Micros(300));  // scales
 }
 
-// Deadline monitoring, the sharded-update barrier and the PDES engine all
-// live in the shared stage runner: an engaged run at 4 threads must report
-// every result field — per-phase timings and the timeout summary included —
-// exactly as the serial run does.
-TEST(PdesSummation, DeadlineMonitoredEngagedRunMatchesSerial) {
-  topo::TopologyConfig shape;
-  shape.pod_size_x = 8;
-  shape.pod_size_y = 8;
-  shape.num_pods = 4;
-  const topo::MeshTopology topo(shape);
-  struct Run {
-    GradientSummationResult result;
-    sim::PdesStats pdes;
-    std::uint64_t events = 0;
-  };
-  auto run = [&](int threads) {
-    sim::Simulator simulator;
-    net::Network network(&topo, {}, &simulator);
-    // A badly degraded Y link in pod 1 makes the Y phases overrun.
-    network.DegradeLink(
-        topo.LinkBetween(topo.ChipAt({9, 2}), topo.ChipAt({9, 3})), 50.0);
-    Run out;
-    sim::PdesConfig pdes;
-    pdes.enable = threads > 1;
-    pdes.threads = threads;
-    pdes.stats = &out.pdes;
-    sim::ScopedPdesConfig install(pdes);
-    GradientSummationConfig config;
-    config.elems = 1 << 16;
-    config.shard_update_seconds = [](std::int64_t owned) {
-      return owned * 1e-9;
-    };
-    config.deadline.multiple = 3.0;
-    out.result = TwoDGradientSummation(network, config);
-    out.events = out.pdes.engaged ? out.pdes.events_processed
-                                  : simulator.events_processed();
-    return out;
-  };
-  const Run serial = run(1);
-  const Run engaged = run(4);
-  ASSERT_FALSE(serial.pdes.engaged);
-  ASSERT_TRUE(engaged.pdes.engaged);
-  const GradientSummationResult& want = serial.result;
-  const GradientSummationResult& got = engaged.result;
-  EXPECT_TRUE(want.timed_out);
+// Every field of two summation results, per-phase timings and the timeout
+// summary included.
+void ExpectSameSummation(const GradientSummationResult& got,
+                         const GradientSummationResult& want) {
   EXPECT_EQ(got.reduce_seconds, want.reduce_seconds);
   EXPECT_EQ(got.update_seconds, want.update_seconds);
   EXPECT_EQ(got.broadcast_seconds, want.broadcast_seconds);
@@ -516,7 +480,6 @@ TEST(PdesSummation, DeadlineMonitoredEngagedRunMatchesSerial) {
   EXPECT_EQ(got.phase_seconds.x_all_gather, want.phase_seconds.x_all_gather);
   EXPECT_EQ(got.phase_seconds.y_all_gather, want.phase_seconds.y_all_gather);
   EXPECT_EQ(got.max_owned_elems, want.max_owned_elems);
-  ASSERT_EQ(got.phases.size(), 4u);
   ASSERT_EQ(got.phases.size(), want.phases.size());
   for (std::size_t i = 0; i < want.phases.size(); ++i) {
     EXPECT_STREQ(got.phases[i].name, want.phases[i].name);
@@ -529,7 +492,140 @@ TEST(PdesSummation, DeadlineMonitoredEngagedRunMatchesSerial) {
   EXPECT_EQ(got.timed_out, want.timed_out);
   EXPECT_EQ(got.detected_at, want.detected_at);
   EXPECT_STREQ(got.timed_out_phase, want.timed_out_phase);
-  EXPECT_EQ(engaged.events, serial.events);
+}
+
+// One deadline-monitored 2-D summation with a sharded update on a 4-pod
+// slice (4 pods of 8x8), at `threads` PDES threads (1 = serial). `arm` runs
+// on the fresh simulator and network first, e.g. to degrade or schedule.
+struct PdesRun {
+  GradientSummationResult result;
+  net::TrafficStats traffic;
+  sim::PdesStats pdes;
+  std::uint64_t events = 0;
+  std::uint64_t events_scheduled = 0;
+  std::string telemetry_json;
+};
+
+template <typename Arm>
+PdesRun RunPdesSummation(int threads, Arm&& arm) {
+  topo::TopologyConfig shape;
+  shape.pod_size_x = 8;
+  shape.pod_size_y = 8;
+  shape.num_pods = 4;
+  const topo::MeshTopology topo(shape);
+  sim::Simulator simulator;
+  net::Network network(&topo, {}, &simulator);
+  PdesRun out;
+  arm(topo, simulator, network, out);
+  sim::PdesConfig pdes;
+  pdes.enable = threads > 1;
+  pdes.threads = threads;
+  pdes.stats = &out.pdes;
+  sim::ScopedPdesConfig install(pdes);
+  GradientSummationConfig config;
+  config.elems = 1 << 16;
+  config.shard_update_seconds = [](std::int64_t owned) {
+    return owned * 1e-9;
+  };
+  config.deadline.multiple = 3.0;
+  out.result = TwoDGradientSummation(network, config);
+  out.traffic = network.traffic();
+  out.events = out.pdes.engaged ? out.pdes.events_processed
+                                : simulator.events_processed();
+  out.events_scheduled = out.pdes.engaged ? out.pdes.events_scheduled
+                                          : simulator.events_scheduled();
+  return out;
+}
+
+void ExpectSameRun(const PdesRun& got, const PdesRun& want) {
+  ExpectSameSummation(got.result, want.result);
+  EXPECT_EQ(got.traffic.mesh_x_bytes, want.traffic.mesh_x_bytes);
+  EXPECT_EQ(got.traffic.cross_pod_x_bytes, want.traffic.cross_pod_x_bytes);
+  EXPECT_EQ(got.traffic.mesh_y_bytes, want.traffic.mesh_y_bytes);
+  EXPECT_EQ(got.traffic.wrap_y_bytes, want.traffic.wrap_y_bytes);
+  EXPECT_EQ(got.traffic.messages, want.traffic.messages);
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.events_scheduled, want.events_scheduled);
+}
+
+// Deadline monitoring, the sharded-update barrier and the fork/join all live
+// in the shared stage runner: an engaged run at 4 threads must report every
+// result field exactly as the serial run does, with all four stages forked.
+TEST(PdesSummation, DeadlineMonitoredEngagedRunMatchesSerial) {
+  // A badly degraded Y link in pod 1 makes the Y phases overrun.
+  auto degrade = [](const topo::MeshTopology& topo, sim::Simulator&,
+                    net::Network& network, PdesRun&) {
+    network.DegradeLink(
+        topo.LinkBetween(topo.ChipAt({9, 2}), topo.ChipAt({9, 3})), 50.0);
+  };
+  const PdesRun serial = RunPdesSummation(1, degrade);
+  const PdesRun engaged = RunPdesSummation(4, degrade);
+  ASSERT_FALSE(serial.pdes.engaged);
+  ASSERT_TRUE(engaged.pdes.engaged);
+  EXPECT_TRUE(serial.result.timed_out);
+  ASSERT_EQ(engaged.result.phases.size(), 4u);
+  EXPECT_EQ(engaged.pdes.windows, 4u);
+  ExpectSameRun(engaged, serial);
+}
+
+// A link degradation scheduled to land mid-Y-reduce-scatter is pending when
+// that stage starts, so the stage stays on the caller's simulator, where the
+// fault lands exactly when the serial run sees it; the three later stages
+// start with nothing pending and fork.
+TEST(PdesSummation, PendingLinkDegradationKeepsItsStageUnforked) {
+  const PdesRun healthy =
+      RunPdesSummation(1, [](auto&&...) {});
+  const SimTime mid_y = healthy.result.phase_seconds.y_reduce_scatter / 2;
+  auto arm = [mid_y](const topo::MeshTopology& topo, sim::Simulator& simulator,
+                     net::Network& network, PdesRun&) {
+    const topo::LinkId link =
+        topo.LinkBetween(topo.ChipAt({9, 2}), topo.ChipAt({9, 3}));
+    simulator.Schedule(mid_y, [&network, link] {
+      network.DegradeLink(link, 8.0);
+    });
+  };
+  const PdesRun serial = RunPdesSummation(1, arm);
+  const PdesRun engaged = RunPdesSummation(4, arm);
+  EXPECT_GT(serial.result.phase_seconds.y_reduce_scatter,
+            healthy.result.phase_seconds.y_reduce_scatter);
+  ASSERT_TRUE(engaged.pdes.engaged);
+  EXPECT_EQ(engaged.pdes.windows, 3u);
+  EXPECT_EQ(engaged.pdes.partition_events_processed.size(), 3u);
+  ExpectSameRun(engaged, serial);
+}
+
+// A telemetry sampler ticking on the simulator keeps a tick pending at every
+// stage start, so no stage forks: each tick reads the network at exactly the
+// instant the serial run does, and the sampled series match byte for byte.
+TEST(PdesSummation, TickingSamplerKeepsEveryStageUnforked) {
+  auto sampled = [](int threads) {
+    telemetry::TelemetryConfig config;
+    config.sample_interval = Micros(2);
+    telemetry::TelemetrySession session(config);
+    session.BeginRun("pdes", 0.0);
+    std::unique_ptr<telemetry::TimeSeriesSampler> sampler;
+    PdesRun run = RunPdesSummation(
+        threads, [&](const topo::MeshTopology&, sim::Simulator& simulator,
+                     net::Network& network, PdesRun&) {
+          sampler = std::make_unique<telemetry::TimeSeriesSampler>(
+              &simulator, &session);
+          telemetry::RegisterNetworkProbes(*sampler, network);
+          telemetry::RegisterSimulatorProbes(*sampler, simulator);
+          sampler->set_stop_predicate(
+              [&simulator] { return simulator.queue_depth() == 0; });
+          sampler->Start();
+        });
+    EXPECT_GT(sampler->ticks(), 4u);
+    session.CommitRun();
+    run.telemetry_json = session.ToJson();
+    return run;
+  };
+  const PdesRun serial = sampled(1);
+  const PdesRun engaged = sampled(4);
+  ASSERT_TRUE(engaged.pdes.engaged);
+  EXPECT_EQ(engaged.pdes.windows, 0u);
+  ExpectSameRun(engaged, serial);
+  EXPECT_EQ(engaged.telemetry_json, serial.telemetry_json);
 }
 
 TEST(SnakeRing, VisitsEveryChipWithNeighborSteps) {

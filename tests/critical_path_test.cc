@@ -15,7 +15,7 @@
 #include "models/model_specs.h"
 #include "network/network.h"
 #include "plan/planner.h"
-#include "sim/partitioned_simulator.h"
+#include "sim/pdes.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 #include "trace/critical_path.h"
@@ -246,9 +246,9 @@ TEST(CriticalPath, TrackerResetsWhenAFreshSimulatorStarts) {
   EXPECT_EQ(tracker.Analyze().makespan, 5.0);
 }
 
-// An installed event observer forces the PDES engine to stand down: the
-// tracker needs every event in one global causal order, which partition-local
-// drains cannot give it. A traced step under an enabled PdesConfig must
+// An installed event observer forces the PDES fork to stand down: the
+// tracker needs every event in one global causal order, which stages forked
+// onto separate simulators cannot give it. A traced step under an enabled PdesConfig must
 // therefore run the serial path and produce exactly the same result AND the
 // same critical-path report as a run with the config off — observers are
 // never silently degraded and never see a half-merged event stream.
@@ -280,7 +280,7 @@ TEST(CriticalPath, ObserverForcesSerialFallbackWithBitIdenticalReport) {
   sim::PdesStats stats;
   const SummationRun with_pdes = tracked_run(true, &stats);
   const SummationRun without = tracked_run(false, nullptr);
-  EXPECT_FALSE(stats.engaged);  // the observer vetoed the engine
+  EXPECT_FALSE(stats.engaged);  // the observer vetoed the fork
   EXPECT_EQ(with_pdes.result.phase_seconds.y_reduce_scatter,
             without.result.phase_seconds.y_reduce_scatter);
   EXPECT_EQ(with_pdes.result.phase_seconds.x_reduce_scatter,

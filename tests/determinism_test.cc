@@ -4,7 +4,11 @@
 // (EXPECT_EQ on doubles), not approximate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/workload.h"
@@ -16,6 +20,7 @@
 #include "plan/executor.h"
 #include "plan/generator.h"
 #include "plan/planner.h"
+#include "sim/pdes.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 #include "topology/topology.h"
@@ -312,27 +317,44 @@ TEST(Determinism, ClusterReportIsThreadCountInvariant) {
   EXPECT_EQ(serial, threaded);
 }
 
-// ---- Conservative synchronized-window PDES (sim/partitioned_simulator.h).
+// ---- Per-stage fork/join (coll::RunSummationStages, DESIGN.md §16).
 // The contract under test: simulated timestamps, work-event counts and
-// traffic totals are bit-identical at any thread count, including the
-// serial engine itself (threads = 1 never constructs the engine).
+// traffic totals are bit-identical at any thread count and to the run with
+// the request off (threads = 1 never forks).
 
-// One time-only 2-D gradient summation on a 4-pod multipod slice (4 pods of
-// 8x8 — small enough for a unit test, multi-pod enough to engage).
+// One summation shape of the sweep: the fixed 2-D schedule on `shape`, or
+// (hd_plan) the planner's hd-2d plan through plan::ExecutePlan.
+struct PdesCase {
+  const char* name;
+  topo::TopologyConfig shape;
+  std::int64_t elems = 1 << 16;
+  int model_parallel_stride = 1;
+  bool bidirectional = true;
+  bool hd_plan = false;
+};
+
+topo::TopologyConfig Multipod(int pod_size, int pods) {
+  topo::TopologyConfig shape;
+  shape.pod_size_x = pod_size;
+  shape.pod_size_y = pod_size;
+  shape.num_pods = pods;
+  return shape;
+}
+
 struct PdesSummationRun {
-  coll::GradientSummationResult result;
+  SimTime reduce_seconds = 0;
+  SimTime update_seconds = 0;
+  SimTime broadcast_seconds = 0;
+  std::vector<SimTime> stage_seconds;
   net::TrafficStats traffic;
   std::uint64_t events_processed = 0;
   std::uint64_t events_scheduled = 0;
   sim::PdesStats pdes;
 };
 
-PdesSummationRun RunPdesSummation(int threads) {
-  topo::TopologyConfig shape;
-  shape.pod_size_x = 8;
-  shape.pod_size_y = 8;
-  shape.num_pods = 4;
-  const topo::MeshTopology topo(shape);
+// threads = 0 runs with the PDES request off.
+PdesSummationRun RunPdesSummation(const PdesCase& c, int threads) {
+  const topo::MeshTopology topo(c.shape);
   sim::Simulator simulator;
   net::Network network(&topo, {}, &simulator);
   network.DegradeLink(
@@ -345,9 +367,42 @@ PdesSummationRun RunPdesSummation(int threads) {
   pdes.stats = &run.pdes;
   sim::ScopedPdesConfig install(pdes);
 
-  coll::GradientSummationConfig config;
-  config.elems = 1 << 18;
-  run.result = coll::TwoDGradientSummation(network, config);
+  auto update = [](std::int64_t owned) { return owned * 1e-9; };
+  if (c.hd_plan) {
+    plan::PlanRequest request;
+    request.elems = c.elems;
+    std::vector<plan::CollectivePlan> plans =
+        plan::GeneratePlans(topo, request);
+    auto hd = std::find_if(plans.begin(), plans.end(), [](const auto& plan) {
+      return plan.chunks == 1 && plan.name().rfind("hd-2d", 0) == 0;
+    });
+    EXPECT_NE(hd, plans.end());
+    plan::PlanExecutionConfig exec_config;
+    exec_config.shard_update_seconds = update;
+    const plan::PlanExecutionResult result =
+        plan::ExecutePlan(network, *hd, c.elems, exec_config);
+    run.reduce_seconds = result.reduce_seconds;
+    run.update_seconds = result.update_seconds;
+    run.broadcast_seconds = result.broadcast_seconds;
+    for (const auto& stage : result.stages) {
+      run.stage_seconds.push_back(stage.seconds);
+    }
+  } else {
+    coll::GradientSummationConfig config;
+    config.elems = c.elems;
+    config.model_parallel_stride = c.model_parallel_stride;
+    config.collective.bidirectional = c.bidirectional;
+    config.shard_update_seconds = update;
+    const coll::GradientSummationResult result =
+        coll::TwoDGradientSummation(network, config);
+    run.reduce_seconds = result.reduce_seconds;
+    run.update_seconds = result.update_seconds;
+    run.broadcast_seconds = result.broadcast_seconds;
+    run.stage_seconds = {result.phase_seconds.y_reduce_scatter,
+                         result.phase_seconds.x_reduce_scatter,
+                         result.phase_seconds.x_all_gather,
+                         result.phase_seconds.y_all_gather};
+  }
   run.traffic = network.traffic();
   run.events_processed =
       run.pdes.engaged ? run.pdes.events_processed : simulator.events_processed();
@@ -358,18 +413,10 @@ PdesSummationRun RunPdesSummation(int threads) {
 
 void ExpectSummationRunsEqual(const PdesSummationRun& a,
                               const PdesSummationRun& b) {
-  EXPECT_EQ(a.result.reduce_seconds, b.result.reduce_seconds);
-  EXPECT_EQ(a.result.update_seconds, b.result.update_seconds);
-  EXPECT_EQ(a.result.broadcast_seconds, b.result.broadcast_seconds);
-  EXPECT_EQ(a.result.phase_seconds.y_reduce_scatter,
-            b.result.phase_seconds.y_reduce_scatter);
-  EXPECT_EQ(a.result.phase_seconds.x_reduce_scatter,
-            b.result.phase_seconds.x_reduce_scatter);
-  EXPECT_EQ(a.result.phase_seconds.update, b.result.phase_seconds.update);
-  EXPECT_EQ(a.result.phase_seconds.x_all_gather,
-            b.result.phase_seconds.x_all_gather);
-  EXPECT_EQ(a.result.phase_seconds.y_all_gather,
-            b.result.phase_seconds.y_all_gather);
+  EXPECT_EQ(a.reduce_seconds, b.reduce_seconds);
+  EXPECT_EQ(a.update_seconds, b.update_seconds);
+  EXPECT_EQ(a.broadcast_seconds, b.broadcast_seconds);
+  EXPECT_EQ(a.stage_seconds, b.stage_seconds);
   EXPECT_EQ(a.traffic.mesh_x_bytes, b.traffic.mesh_x_bytes);
   EXPECT_EQ(a.traffic.cross_pod_x_bytes, b.traffic.cross_pod_x_bytes);
   EXPECT_EQ(a.traffic.mesh_y_bytes, b.traffic.mesh_y_bytes);
@@ -380,20 +427,38 @@ void ExpectSummationRunsEqual(const PdesSummationRun& a,
 }
 
 TEST(Determinism, PdesSummationMatchesSerialAtAnyThreadCount) {
-  const PdesSummationRun serial = RunPdesSummation(0);  // engine disabled
-  ASSERT_FALSE(serial.pdes.engaged);
-  for (const int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const PdesSummationRun run = RunPdesSummation(threads);
-    // threads = 1 is the documented one-branch degeneration: the engine is
-    // never constructed. Any higher count must engage and still match.
-    EXPECT_EQ(run.pdes.engaged, threads > 1);
-    if (run.pdes.engaged) {
-      EXPECT_EQ(run.pdes.partitions, 4);
-      EXPECT_GT(run.pdes.windows, 0u);
-      EXPECT_GT(run.pdes.join_notifications, 0u);
+  const PdesCase cases[] = {
+      {"4 pods of 16x16", Multipod(16, 4), 1 << 18},
+      {"single pod 16x16", topo::TopologyConfig::Slice(16, 16, true)},
+      {"4 pods of 8x8, stride 2", Multipod(8, 4), 1 << 16, 2},
+      {"4 pods of 8x8, unidirectional", Multipod(8, 4), 1 << 16, 1, false},
+      {"4 pods of 8x8, 37 elements", Multipod(8, 4), 37},
+      {"hd-2d plan on 4 pods of 8x8", Multipod(8, 4), 1 << 16, 1, true, true},
+  };
+  for (const PdesCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const PdesSummationRun serial = RunPdesSummation(c, 0);
+    ASSERT_FALSE(serial.pdes.engaged);
+    // threads = 1 is the documented one-branch degeneration: nothing forks.
+    const PdesSummationRun one = RunPdesSummation(c, 1);
+    EXPECT_FALSE(one.pdes.engaged);
+    ExpectSummationRunsEqual(serial, one);
+    const PdesSummationRun two = RunPdesSummation(c, 2);
+    ASSERT_TRUE(two.pdes.engaged);
+    EXPECT_GT(two.pdes.windows, 0u);
+    EXPECT_EQ(two.pdes.partition_events_processed.size(), two.pdes.windows);
+    for (const int threads : {2, 4, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const PdesSummationRun run = RunPdesSummation(c, threads);
+      ASSERT_TRUE(run.pdes.engaged);
+      ExpectSummationRunsEqual(serial, run);
+      // The fork's own accounting is thread-count-invariant too.
+      EXPECT_EQ(run.pdes.windows, two.pdes.windows);
+      EXPECT_EQ(run.pdes.partition_events_processed,
+                two.pdes.partition_events_processed);
+      EXPECT_EQ(run.pdes.events_processed, two.pdes.events_processed);
+      EXPECT_EQ(run.pdes.events_scheduled, two.pdes.events_scheduled);
     }
-    ExpectSummationRunsEqual(serial, run);
   }
 }
 
@@ -401,7 +466,7 @@ TEST(Determinism, PdesTrainingUnderFailuresAtScaleIsThreadCountInvariant) {
   // The acceptance-scale run: fault-tolerant training on the full 4096-chip
   // multipod (4 pods of 32x32, analytic MTBF model). The entire result —
   // step economics, detection latency, expected makespan, goodput — must be
-  // bit-identical across {1, 2, 4, 8} PDES threads and to the engine-off
+  // bit-identical across {1, 2, 4, 8} PDES threads and to the PDES-off
   // baseline.
   auto run = [](bool enable, int threads) {
     core::SystemOptions options;
@@ -435,7 +500,7 @@ TEST(Determinism, PdesTrainingUnderFailuresAtScaleIsThreadCountInvariant) {
 TEST(Determinism, PdesPlannerSearchOnDegradedSliceIsThreadCountInvariant) {
   // The planner's candidate evaluations are throwaway runs that always stay
   // serial, on a single-pod slice and on a multipod alike: the ambient PDES
-  // request must neither engage the engine (the stats out-param stays
+  // request must neither engage the fork (the stats out-param stays
   // untouched) nor move the search result by a ULP at any thread count.
   topo::TopologyConfig multipod;
   multipod.pod_size_x = 8;
@@ -479,10 +544,10 @@ TEST(Determinism, PdesPlannerSearchOnDegradedSliceIsThreadCountInvariant) {
 }
 
 TEST(Determinism, PdesExecutesEveryCandidateShapeLikeSerial) {
-  // The engine fans pod-confined ring stages out to partition lanes and
-  // keeps everything else (X rings, flat snake rings, halving-doubling
-  // exchanges, the update barrier) on the global lane; every candidate
-  // shape must execute exactly as the serial run does.
+  // Ring and halving-doubling stages fork into their link-disjoint groups,
+  // flat snake rings form one group and stay on the caller's simulator, and
+  // so does the update barrier; every candidate shape must execute exactly
+  // as the serial run does.
   topo::TopologyConfig shape;
   shape.pod_size_x = 8;
   shape.pod_size_y = 8;
@@ -537,7 +602,7 @@ TEST(Determinism, PdesExecutesEveryCandidateShapeLikeSerial) {
 TEST(Determinism, PdesPlannerModeStepIsThreadCountInvariant) {
   // Planner mode executes its chosen plan through the same stage runner as
   // the fixed schedule, so a real planned step on a multipod engages the
-  // PDES engine and still matches the serial step field for field.
+  // PDES fork and still matches the serial step field for field.
   const models::ModelSpec& spec =
       models::GetModelSpec(models::Benchmark::kResNet50);
   auto step = [&](int threads, sim::PdesStats* stats) {
@@ -562,7 +627,7 @@ TEST(Determinism, PdesPlannerModeStepIsThreadCountInvariant) {
     const core::StepBreakdown got = step(threads, &stats);
     EXPECT_EQ(stats.engaged, threads > 1);
     if (stats.engaged) {
-      EXPECT_EQ(stats.partitions, 2);
+      EXPECT_GT(stats.windows, 0u);
     }
     EXPECT_EQ(got.compute, serial.compute);
     EXPECT_EQ(got.allreduce, serial.allreduce);
@@ -574,9 +639,9 @@ TEST(Determinism, PdesPlannerModeStepIsThreadCountInvariant) {
 }
 
 TEST(Determinism, PdesClusterReportIsByteIdenticalAtAnyThreadCount) {
-  // The multi-tenant cluster run under the ambient PDES request: tenant
-  // steps on multi-pod slices may engage the engine, single-pod tenants
-  // degenerate, and the full report JSON must stay byte-identical.
+  // The multi-tenant cluster run under the ambient PDES request: every
+  // tenant step may fork its summation stages, and the full report JSON
+  // must stay byte-identical.
   const std::string baseline = SeededClusterReportJson(1, nullptr);
   for (const int threads : {2, 4, 8}) {
     SCOPED_TRACE("pdes_threads=" + std::to_string(threads));

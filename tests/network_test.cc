@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "network/network.h"
-#include "sim/partitioned_simulator.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 
@@ -129,15 +130,15 @@ TEST(NetworkCrossPod, CrossPodLatencyIsHigher) {
   EXPECT_GT(network.traffic().cross_pod_x_bytes, 0);
 }
 
-// Route-cache + traffic-shard concurrency contract (the comment block on
-// Network::route_cache_): during PDES partition drains each pod's lane warms
-// and reads only the inner route lists of its own source chips and
-// accumulates into its own traffic shard, so parallel lanes never touch
-// shared storage. This test drives four lanes through repeated pod-confined
-// sends — first rounds warm the cache, later rounds re-read it while other
-// lanes warm theirs — and is part of the TSan CI matrix, which would flag
-// any violation of the contract. Timestamps and merged traffic must come
-// out bit-identical to the single-threaded engine run.
+// The fork-lane contract (network.h: Lane and route_cache_): once the
+// forking thread has warmed every route with ForEachRouteLink, threads that
+// each run link-disjoint sends on a Simulator of their own under a
+// ScopedLane only read the shared route cache and count traffic into their
+// own lane. Four lanes, one per pod, chain rounds of a Y send and an in-pod
+// X send over the same chip pairs, concurrently. This test is part of the
+// TSan CI matrix, which would flag any violation; completions and the
+// merged traffic must be bit-identical to running the lanes one after
+// another on one thread.
 TEST(NetworkPdes, ConcurrentPartitionSendsKeepRouteCacheAndTrafficExact) {
   topo::TopologyConfig shape;
   shape.pod_size_x = 4;
@@ -152,34 +153,56 @@ TEST(NetworkPdes, ConcurrentPartitionSendsKeepRouteCacheAndTrafficExact) {
     TrafficStats traffic;
   };
   auto run = [&](int threads) {
-    sim::Simulator global;
-    Network network(&topo, {}, &global);
-    sim::PartitionedSimulator engine(&global, kLanes,
-                                     network.CrossPodLookahead(), threads);
-    RunResult result;
-    result.completions.resize(kLanes);
-    // Each lane chains kRounds of two pod-confined sends (a Y route and an
-    // in-pod X route) over the same chip pairs: round 1 warms the cached
-    // routes, later rounds re-read them while sibling lanes warm or read
-    // theirs concurrently.
-    std::function<void(int, int)> round = [&](int lane, int remaining) {
-      if (remaining == 0) return;
-      const int base_x = 4 * lane;
-      auto log_and_continue = [&result, &network, lane, remaining, &round] {
-        result.completions[lane].push_back(network.simulator().now());
-        if (result.completions[lane].size() % 2 == 0) {
-          round(lane, remaining - 1);
-        }
-      };
-      network.Send(topo.ChipAt({base_x, 0}), topo.ChipAt({base_x, 3}), 4096,
-                   log_and_continue);
-      network.Send(topo.ChipAt({base_x, 1}), topo.ChipAt({base_x + 3, 1}),
-                   8192, log_and_continue);
+    sim::Simulator simulator;
+    Network network(&topo, {}, &simulator);
+    auto y_pair = [&](int lane) {
+      return std::make_pair(topo.ChipAt({4 * lane, 0}),
+                            topo.ChipAt({4 * lane, 3}));
+    };
+    auto x_pair = [&](int lane) {
+      return std::make_pair(topo.ChipAt({4 * lane, 1}),
+                            topo.ChipAt({4 * lane + 3, 1}));
     };
     for (int lane = 0; lane < kLanes; ++lane) {
-      engine.Post(lane, 0.0, [&round, lane] { round(lane, kRounds); });
+      for (const auto& [from, to] : {y_pair(lane), x_pair(lane)}) {
+        network.ForEachRouteLink(from, to, [](topo::LinkId) {});
+      }
     }
-    engine.Run();
+    RunResult result;
+    result.completions.resize(kLanes);
+    std::vector<TrafficStats> lane_traffic(kLanes);
+    auto run_lane = [&](int lane_index) {
+      sim::Simulator lane_simulator;
+      Lane lane(&lane_simulator);
+      ScopedLane scope(&lane);
+      std::vector<SimTime>& log = result.completions[lane_index];
+      std::function<void(int)> round = [&](int remaining) {
+        if (remaining == 0) return;
+        auto log_and_continue = [&log, &network, &round, remaining] {
+          log.push_back(network.simulator().now());
+          if (log.size() % 2 == 0) round(remaining - 1);
+        };
+        const auto [y_from, y_to] = y_pair(lane_index);
+        const auto [x_from, x_to] = x_pair(lane_index);
+        network.Send(y_from, y_to, 4096, log_and_continue);
+        network.Send(x_from, x_to, 8192, log_and_continue);
+      };
+      round(kRounds);
+      lane_simulator.Run();
+      lane_traffic[lane_index] = lane.traffic;
+    };
+    if (threads == 1) {
+      for (int lane = 0; lane < kLanes; ++lane) run_lane(lane);
+    } else {
+      ThreadPool pool(threads);
+      for (int lane = 0; lane < kLanes; ++lane) {
+        pool.Schedule([&run_lane, lane] { run_lane(lane); });
+      }
+      pool.Wait();
+    }
+    for (const TrafficStats& traffic : lane_traffic) {
+      network.MergeTraffic(traffic);
+    }
     result.traffic = network.traffic();
     return result;
   };
@@ -191,12 +214,28 @@ TEST(NetworkPdes, ConcurrentPartitionSendsKeepRouteCacheAndTrafficExact) {
   EXPECT_EQ(serial.traffic.mesh_y_bytes, parallel.traffic.mesh_y_bytes);
   EXPECT_EQ(serial.traffic.wrap_y_bytes, parallel.traffic.wrap_y_bytes);
   EXPECT_EQ(serial.traffic.messages, parallel.traffic.messages);
-  // Every lane ran all of its rounds and the merged shards saw every send.
+  // Every lane ran all of its rounds and the merge saw every send.
   for (int lane = 0; lane < kLanes; ++lane) {
     EXPECT_EQ(parallel.completions[lane].size(), 2u * kRounds);
   }
   EXPECT_EQ(parallel.traffic.messages, 2 * kRounds * kLanes);
   EXPECT_EQ(parallel.traffic.cross_pod_x_bytes, 0);
+}
+
+// A lane may only read the route cache: a send over a route nobody warmed
+// fails loudly instead of racing its sibling lanes on the cache.
+TEST(NetworkPdes, ColdRouteOnAForkLaneFailsLoudly) {
+  const topo::MeshTopology topo(topo::TopologyConfig::Slice(4, 4, true));
+  sim::Simulator simulator;
+  Network network(&topo, {}, &simulator);
+  EXPECT_DEATH(
+      {
+        sim::Simulator lane_simulator;
+        Lane lane(&lane_simulator);
+        ScopedLane scope(&lane);
+        network.Send(topo.ChipAt({0, 0}), topo.ChipAt({1, 0}), 64, [] {});
+      },
+      "was not warmed before the stage forked");
 }
 
 TEST(NetworkUtilization, ReportsBusyFraction) {

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/partitioned_simulator.h"
 #include "sim/simulator.h"
 
 namespace tpu::sim {
@@ -233,169 +232,6 @@ TEST(Barrier, FiresAfterExpectedNotifies) {
   EXPECT_EQ(fired, 0);
   barrier.Notify();
   EXPECT_EQ(fired, 1);
-}
-
-TEST(Pdes, RejectsZeroLookaheadWithClearError) {
-  Simulator global;
-  EXPECT_DEATH(PartitionedSimulator(&global, 2, 0.0, 2),
-               "lookahead must be strictly positive");
-  EXPECT_DEATH(PartitionedSimulator(&global, 2, -1.0, 2),
-               "lookahead must be strictly positive");
-}
-
-TEST(Pdes, RejectsWindowWiderThanLookahead) {
-  Simulator global;
-  EXPECT_DEATH(PartitionedSimulator(&global, 2, 1.0, 2, 1.5),
-               "window wider than the lookahead");
-}
-
-TEST(Pdes, WindowDefaultsToLookaheadFloor) {
-  Simulator global;
-  PartitionedSimulator engine(&global, 3, 2.5, 2);
-  EXPECT_EQ(engine.partitions(), 3);
-  EXPECT_DOUBLE_EQ(engine.lookahead(), 2.5);
-  EXPECT_DOUBLE_EQ(engine.window(), 2.5);
-  PartitionedSimulator narrow(&global, 3, 2.5, 2, 0.5);
-  EXPECT_DOUBLE_EQ(narrow.window(), 0.5);
-}
-
-// One partition degenerates to the plain serial simulator: identical
-// execution order, timestamps and work-event counters for the same chained
-// workload.
-TEST(Pdes, SinglePartitionDegeneratesToSerial) {
-  auto run_chain = [](Simulator& sim, std::vector<double>* log) {
-    std::function<void()> next = [&sim, log] {
-      log->push_back(sim.now());
-      if (log->size() < 5) {
-        sim.Schedule(0.75, [&sim, log] {
-          log->push_back(sim.now());
-          sim.Schedule(0.25, [&sim, log] { log->push_back(sim.now()); });
-        });
-      }
-    };
-    sim.Schedule(0.5, next);
-    sim.Schedule(1.0, next);
-  };
-
-  Simulator serial;
-  std::vector<double> serial_log;
-  run_chain(serial, &serial_log);
-  serial.Run();
-
-  Simulator global;
-  PartitionedSimulator engine(&global, 1, 1.0, 1);
-  std::vector<double> lane_log;
-  Simulator& lane = engine.partition(0);
-  run_chain(lane, &lane_log);
-  engine.Run();
-
-  EXPECT_EQ(lane_log, serial_log);
-  EXPECT_EQ(lane.events_processed(), serial.events_processed());
-  EXPECT_EQ(lane.events_scheduled(), serial.events_scheduled());
-  EXPECT_EQ(engine.TotalEngineEvents(), 0u);
-}
-
-// Cross-partition messages landing at the same simulated time are delivered
-// in (when, seq, src-partition) order: per-source issue order first, then
-// source index — regardless of which worker drained which lane.
-TEST(Pdes, CrossMessagesMergeInWhenSeqSrcOrder) {
-  for (const int threads : {1, 2, 4}) {
-    Simulator global;
-    PartitionedSimulator engine(&global, 3, 1.0, threads);
-    // Tags recorded by partition 0 only (single lane, so no data race at any
-    // thread count).
-    std::vector<int> arrivals;
-    // Lane 2's events are posted (and thus drained) before lane 1's within
-    // the window, but the merge must order same-(when, seq) messages by src.
-    engine.Post(2, 0.0, [&engine, &arrivals] {
-      engine.ScheduleCross(0, 1.0, [&arrivals] { arrivals.push_back(20); });
-      engine.ScheduleCross(0, 1.0, [&arrivals] { arrivals.push_back(21); });
-    });
-    engine.Post(1, 0.5, [&engine, &arrivals] {
-      engine.ScheduleCross(0, 1.0, [&arrivals] { arrivals.push_back(10); });
-    });
-    engine.Run();
-    // seq 0 of src 1 and src 2 tie -> src order; then seq 1 of src 2.
-    EXPECT_EQ(arrivals, (std::vector<int>{10, 20, 21})) << "threads=" << threads;
-    EXPECT_EQ(engine.cross_messages(), 3u);
-  }
-}
-
-TEST(Pdes, EnforcesConservativeLookaheadOnCrossMessages) {
-  // The engine (and its worker pool) must be constructed inside the death
-  // statement: the death-test child is a fork of this thread only, so a
-  // pool created before the fork would have no workers in the child.
-  EXPECT_DEATH(
-      {
-        Simulator global;
-        PartitionedSimulator engine(&global, 2, 1.0, 1);
-        engine.Post(0, 0.0, [&engine] {
-          // Targets the current instant: inside the window.
-          engine.ScheduleCross(1, 0.0, [] {});
-        });
-        engine.Run();
-      },
-      "conservative lookahead violated");
-}
-
-// The windowed protocol produces identical per-lane execution logs at any
-// thread count: a ping-pong workload across four partitions, logged into
-// lane-confined vectors, compared across {1, 2, 4, 8} worker threads.
-TEST(Pdes, ExecutionIsBitIdenticalAcrossThreadCounts) {
-  struct RunLog {
-    std::vector<std::vector<double>> per_lane;
-    std::uint64_t windows = 0;
-    std::uint64_t crosses = 0;
-  };
-  auto run = [](int threads) {
-    constexpr int kLanes = 4;
-    Simulator global;
-    PartitionedSimulator engine(&global, kLanes, 1.0, threads, 0.5);
-    RunLog log;
-    log.per_lane.resize(kLanes);
-    std::function<void(int, int)> bounce = [&](int lane, int hops) {
-      log.per_lane[lane].push_back(engine.partition(lane).now());
-      if (hops == 0) return;
-      const int target = (lane + 1) % kLanes;
-      const SimTime when = engine.partition(lane).now() + 1.0;
-      engine.ScheduleCross(target, when,
-                           [&bounce, target, hops] { bounce(target, hops - 1); });
-    };
-    for (int lane = 0; lane < kLanes; ++lane) {
-      engine.Post(lane, 0.25 * lane, [&bounce, lane] { bounce(lane, 6); });
-    }
-    engine.Run();
-    log.windows = engine.windows_executed();
-    log.crosses = engine.cross_messages();
-    return log;
-  };
-  const RunLog baseline = run(1);
-  EXPECT_GT(baseline.crosses, 0u);
-  for (const int threads : {2, 4, 8}) {
-    const RunLog parallel = run(threads);
-    EXPECT_EQ(parallel.per_lane, baseline.per_lane) << "threads=" << threads;
-    EXPECT_EQ(parallel.windows, baseline.windows) << "threads=" << threads;
-    EXPECT_EQ(parallel.crosses, baseline.crosses) << "threads=" << threads;
-  }
-}
-
-// Deferred join notifications release the barrier on the global lane at the
-// maximum notified time — the instant the serial run's last Notify would
-// have fired the continuation.
-TEST(Pdes, JoinReleasesAtMaxNotifyTimeOnGlobalLane) {
-  Simulator global;
-  PartitionedSimulator engine(&global, 2, 1.0, 2);
-  double released_at = -1.0;
-  auto barrier = std::make_shared<Barrier>(
-      2, [&global, &released_at] { released_at = global.now(); });
-  engine.Post(0, 0.5, [&engine, barrier] { engine.DeferJoinNotify(barrier); });
-  engine.Post(1, 0.9, [&engine, barrier] { engine.DeferJoinNotify(barrier); });
-  engine.Run();
-  EXPECT_DOUBLE_EQ(released_at, 0.9);
-  EXPECT_EQ(engine.join_notifications(), 2u);
-  // The release is protocol bookkeeping, not a counted work event.
-  EXPECT_EQ(global.events_processed(), 0u);
-  EXPECT_EQ(global.engine_events_processed(), 1u);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "fault/fault_injector.h"
 #include "models/model_specs.h"
 #include "network/network.h"
-#include "sim/partitioned_simulator.h"
 #include "sim/simulator.h"
 #include "telemetry/probes.h"
 #include "telemetry/sampler.h"
@@ -210,54 +209,6 @@ TEST(Sampler, RegisteredProbesDefineColumnOrder) {
   const std::vector<std::string>& columns = sampler.columns();
   EXPECT_NE(std::find(columns.begin(), columns.end(), "sim.queue_depth"),
             columns.end());
-}
-
-// The PDES probe pack samples the window engine from the global lane:
-// sampler ticks are telemetry-class events on the global simulator, so they
-// are processed between partition drains and observe a quiescent, merged
-// engine state. The sampled series must be byte-identical across repeats
-// AND across worker-thread counts — the engine's bit-identity contract
-// extends to telemetry, not just to results.
-TEST(Sampler, PdesProbesSampleAnEngagedRunDeterministically) {
-  const auto run = [](int threads) {
-    TelemetryConfig config;
-    config.sample_interval = 0.5;
-    TelemetrySession session(config);
-    session.BeginRun("pdes", 0.0);
-    sim::Simulator global;
-    sim::PartitionedSimulator engine(&global, /*partitions=*/4,
-                                     /*lookahead=*/1.0, threads);
-    // Four lanes each walk an 8-event chain on their own clock.
-    int remaining[4] = {8, 8, 8, 8};
-    std::vector<std::function<void()>> steps(4);
-    for (int p = 0; p < 4; ++p) {
-      sim::Simulator* lane = &engine.partition(p);
-      steps[p] = [&steps, &remaining, lane, p] {
-        if (--remaining[p] > 0) lane->Schedule(0.4, steps[p]);
-      };
-      engine.Post(p, 0.1 * (p + 1), steps[p]);
-    }
-    TimeSeriesSampler sampler(&global, &session);
-    telemetry::RegisterPdesProbes(sampler, engine);
-    sampler.set_stop_predicate(
-        [&engine] { return engine.TotalQueueDepth() == 0; });
-    sampler.Start();
-    engine.Run();
-    session.CommitRun();
-
-    EXPECT_GT(engine.windows_executed(), 0u);
-    EXPECT_EQ(engine.TotalEventsProcessed(), 32u);
-    EXPECT_GT(sampler.ticks(), 1u);
-    const std::vector<std::string>& columns = sampler.columns();
-    EXPECT_EQ(columns[0], "pdes.windows");
-    EXPECT_NE(std::find(columns.begin(), columns.end(),
-                        "pdes.partition.3.events_processed"),
-              columns.end());
-    return session.ToJson();
-  };
-  const std::string parallel = run(4);
-  EXPECT_EQ(parallel, run(4));  // repeatable
-  EXPECT_EQ(parallel, run(1));  // thread-count invariant
 }
 
 // --- Watchdogs on synthetic tick streams ---------------------------------
