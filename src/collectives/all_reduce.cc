@@ -203,8 +203,18 @@ struct LaneResult {
   net::TrafficStats traffic;
 };
 
-// Runs each component of a stage on its own Simulator, one pool task per
-// component, every lane starting at `start`. The join adds each lane's
+// The calling pool worker's lane simulator. A worker runs its lanes one
+// after another, each on this one Simulator reset in between (a lane always
+// drains its queue): building a fresh Simulator per lane would allocate and
+// zero a 16384-bucket calendar for every ring group of every forked stage.
+// It lives as long as the worker thread, i.e. one summation run's pool.
+sim::Simulator& WorkerLaneSimulator() {
+  thread_local sim::Simulator simulator;
+  return simulator;
+}
+
+// Runs each component of a stage as one pool task on the worker's lane
+// simulator, every lane starting at `start`. The join adds each lane's
 // traffic and events in component order and returns the latest lane end.
 SimTime ForkStage(ThreadPool& pool, net::Network& network,
                   const SummationStage& stage,
@@ -214,7 +224,8 @@ SimTime ForkStage(ThreadPool& pool, net::Network& network,
   std::vector<LaneResult> lanes(components.size());
   for (std::size_t c = 0; c < components.size(); ++c) {
     pool.Schedule([&, c] {
-      sim::Simulator simulator;
+      sim::Simulator& simulator = WorkerLaneSimulator();
+      simulator.Reset();
       net::Lane lane(&simulator);
       LaneResult& out = lanes[c];
       {

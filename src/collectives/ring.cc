@@ -15,14 +15,19 @@
 namespace tpu::coll {
 namespace {
 
+// Chunk `chunk` of `range` cut into chunks of `base` elements (the last
+// may be short, trailing ones empty).
+Range ChunkAt(const Range& range, std::int64_t base, int chunk) {
+  const std::int64_t begin = std::min(range.end, range.begin + chunk * base);
+  const std::int64_t end = std::min(range.end, begin + base);
+  return Range{begin, end};
+}
+
 // Contiguous chunk layout used by both reduce-scatter and all-gather: the
 // range is divided into ring_size chunks of ceil(len / ring_size) elements
 // (the last chunk may be short or empty).
 Range ChunkOf(const Range& range, int ring_size, int chunk) {
-  const std::int64_t base = CeilDiv(range.size(), ring_size);
-  const std::int64_t begin = std::min(range.end, range.begin + chunk * base);
-  const std::int64_t end = std::min(range.end, begin + base);
-  return Range{begin, end};
+  return ChunkAt(range, CeilDiv(range.size(), ring_size), chunk);
 }
 
 // Splits a range into the two per-direction halves used by bidirectional
@@ -94,6 +99,14 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
       network_->simulator().Schedule(0.0, std::move(on_done_));
       return;
     }
+    // Every step sends rank -> rank+1 with the same chunk layout, so the
+    // routes and the chunk size are resolved once per pass.
+    chunk_base_ = CeilDiv(range_.size(), n);
+    routes_.reserve(n);
+    for (int rank = 0; rank < n; ++rank) {
+      const int next = rank + 1 == n ? 0 : rank + 1;
+      routes_.push_back(network_->Resolve(order_[rank], order_[next]));
+    }
     RunStep(0);
   }
 
@@ -123,10 +136,11 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
       }
     });
 
-    for (int rank = 0; rank < n(); ++rank) {
-      const int next = (rank + 1) % n();
-      const int chunk_index = SendChunkIndex(rank, step);
-      const Range chunk = ChunkOf(range_, n(), chunk_index);
+    // SendChunkIndex(rank, step) advances by one (mod n) with the rank.
+    int chunk_index = SendChunkIndex(0, step);
+    for (int rank = 0; rank < n(); ++rank, ++chunk_index) {
+      if (chunk_index == n()) chunk_index = 0;
+      const Range chunk = ChunkAt(range_, chunk_base_, chunk_index);
       const Bytes wire_bytes = chunk.size() * options_.wire_bytes_per_elem();
 
       // Time-only rings (no data pointers) complete with a bare barrier
@@ -135,7 +149,7 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
       // step's incoming data must not contaminate what we forward within the
       // same step) into a pooled buffer the callback owns.
       if (data_.empty() || chunk.size() == 0) {
-        network_->Send(order_[rank], order_[next], wire_bytes,
+        network_->Send(routes_[rank], wire_bytes,
                        [barrier] { barrier->Notify(); });
         continue;
       }
@@ -147,9 +161,9 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
           p[i] = QuantizeToBFloat16(p[i]);
         }
       }
-      float* const out = data_[next] + chunk.begin;
+      float* const out = data_[rank + 1 == n() ? 0 : rank + 1] + chunk.begin;
       if (kind_ == Kind::kReduceScatter) {
-        network_->Send(order_[rank], order_[next], wire_bytes,
+        network_->Send(routes_[rank], wire_bytes,
                        [barrier, payload = std::move(payload), out] {
                          const float* p = payload.data();
                          for (std::size_t i = 0; i < payload.size(); ++i) {
@@ -158,7 +172,7 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
                          barrier->Notify();
                        });
       } else {
-        network_->Send(order_[rank], order_[next], wire_bytes,
+        network_->Send(routes_[rank], wire_bytes,
                        [barrier, payload = std::move(payload), out] {
                          std::copy(payload.data(),
                                    payload.data() + payload.size(), out);
@@ -175,6 +189,8 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
   Kind kind_;
   CollectiveOptions options_;
   sim::Simulator::Callback on_done_;
+  std::int64_t chunk_base_ = 0;           // elements per chunk
+  std::vector<net::RouteHandle> routes_;  // routes_[rank]: rank -> rank+1
 };
 
 // Builds the direction passes (one or two) for a ring and starts them;

@@ -52,31 +52,29 @@ Network::Network(const topo::MeshTopology* topology,
   route_cache_.resize(topology_->num_chips());
 }
 
-const Network::CachedRoute& Network::RouteFor(topo::ChipId from,
-                                              topo::ChipId to) const {
-  std::vector<std::pair<topo::ChipId, CachedRoute>>& routes =
-      route_cache_[from];
-  for (const auto& [dst, route] : routes) {
-    if (dst == to) return route;
+RouteHandle Network::Resolve(topo::ChipId from, topo::ChipId to) const {
+  if (from == to) return RouteHandle{from, to, 0, 0};
+  std::vector<RouteHandle>& routes = route_cache_[from];
+  for (const RouteHandle& route : routes) {
+    if (route.to == to) return route;
   }
   TPU_CHECK(ScopedLane::Current() == nullptr)
       << "route " << from << "->" << to
       << " was not warmed before the stage forked";
 
-  const std::vector<topo::LinkId> links = topology_->RouteLinks(from, to);
-  TPU_CHECK(!links.empty());
-  CachedRoute route;
-  route.hops.reserve(links.size());
-  for (const topo::LinkId id : links) {
+  RouteHandle route{from, to, static_cast<std::uint32_t>(hops_.size()), 0};
+  topology_->ForEachRouteLink(from, to, [&](topo::LinkId id) {
     const topo::Link& link = topology_->link(id);
     const LinkParams& params = config_.ParamsFor(link.type);
-    route.hops.push_back({id, link.type, params.latency, params.bandwidth});
-  }
-  routes.emplace_back(to, std::move(route));
-  return routes.back().second;
+    hops_.push_back({id, link.type, params.latency, params.bandwidth});
+    ++route.num_hops;
+  });
+  TPU_CHECK_GT(route.num_hops, 0u);
+  routes.push_back(route);
+  return route;
 }
 
-void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
+void Network::Send(const RouteHandle& route, Bytes bytes,
                    sim::Simulator::Callback on_done) {
   TPU_CHECK_GE(bytes, 0);
   // On a fork lane, clock reads, completion scheduling and traffic
@@ -88,8 +86,40 @@ void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
   trace::TraceRecorder* recorder = trace::CurrentTrace();
   trace::MetricsRegistry* metrics = trace::CurrentMetrics();
   sim::EventObserver* observer = sim::CurrentEventObserver();
+  const topo::ChipId from = route.from;
+  const topo::ChipId to = route.to;
+  const CachedHop* const hops = hops_.data() + route.first_hop;
+
+  if (recorder == nullptr && metrics == nullptr && observer == nullptr) {
+    // Unobserved: per hop only the serialization time, the FIFO reservation
+    // and the traffic count, then one ScheduleAt for the completion — no
+    // MessageRecord, no per-hop observation checks. Hops are timed exactly
+    // as in the observed branch below (LiveSerialize, ReserveFrom, latency),
+    // so the simulated schedule is bit-identical with observation on or
+    // off. DESIGN.md ("Unobserved Send") has the measurement that pays for
+    // this second copy of the hop loop.
+    if (route.num_hops == 0) {
+      des.Schedule(config_.message_overhead, std::move(on_done));
+      return;
+    }
+    SimTime head = des.now() + config_.message_overhead;
+    for (std::uint32_t i = 0;; ++i) {
+      const CachedHop& hop = hops[i];
+      const SimTime serialize =
+          LiveSerialize(hop, static_cast<double>(bytes) / hop.bandwidth);
+      const SimTime start =
+          link_resources_[hop.link].ReserveFrom(head, serialize);
+      traffic.AddHop(hop.type, bytes);
+      head = start + serialize + hop.latency;
+      if (i + 1 == route.num_hops) {
+        des.ScheduleAt(head, std::move(on_done));
+        return;
+      }
+    }
+  }
+
   if (recorder != nullptr) EnsureTraceState(recorder);
-  if (from == to) {
+  if (route.num_hops == 0) {
     const std::uint64_t done_seq =
         des.Schedule(config_.message_overhead, std::move(on_done));
     if (observer != nullptr) {
@@ -109,7 +139,6 @@ void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
   // FIFO ordering per link is preserved because reservations are made in
   // Send-call order (the simulator is single-threaded). The hop parameters
   // come from the route cache; only live link state is read per message.
-  const CachedRoute& route = RouteFor(from, to);
   sim::MessageRecord record;
   std::uint64_t done_seq = 0;
   if (observer != nullptr) {
@@ -117,22 +146,18 @@ void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
     record.to = to;
     record.bytes = bytes;
     record.overhead = config_.message_overhead;
-    record.hops.reserve(route.hops.size());
+    record.hops.reserve(route.num_hops);
   }
   SimTime head = des.now() + config_.message_overhead;
-  for (std::size_t i = 0; i < route.hops.size(); ++i) {
-    const CachedHop& hop = route.hops[i];
+  for (std::uint32_t i = 0; i < route.num_hops; ++i) {
+    const CachedHop& hop = hops[i];
     const SimTime healthy_serialize =
         static_cast<double>(bytes) / hop.bandwidth;
-    SimTime serialize = healthy_serialize * degradation_[hop.link];
-    // A failed link stalls the message: it eventually "arrives" (so the event
-    // queue drains and simulations terminate), but far past any deadline a
-    // health monitor would set.
-    if (failed_[hop.link] != 0) serialize += kFailedLinkStall;
+    const SimTime serialize = LiveSerialize(hop, healthy_serialize);
 
     sim::FifoResource& resource = link_resources_[hop.link];
     const SimTime start = resource.ReserveFrom(head, serialize);
-    const bool last_hop = i + 1 == route.hops.size();
+    const bool last_hop = i + 1 == route.num_hops;
     if (last_hop) {
       // The completion callback fires when the message tail has arrived.
       done_seq = des.ScheduleAt(start + serialize + hop.latency,
@@ -175,21 +200,7 @@ void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
       metrics->Histogram("net.hop_serialize_us").Record(ToMicros(serialize));
     }
     head = start + serialize + hop.latency;
-
-    switch (hop.type) {
-      case topo::LinkType::kMeshX:
-        traffic.mesh_x_bytes += bytes;
-        break;
-      case topo::LinkType::kCrossPodX:
-        traffic.cross_pod_x_bytes += bytes;
-        break;
-      case topo::LinkType::kMeshY:
-        traffic.mesh_y_bytes += bytes;
-        break;
-      case topo::LinkType::kWrapY:
-        traffic.wrap_y_bytes += bytes;
-        break;
-    }
+    traffic.AddHop(hop.type, bytes);
   }
   if (observer != nullptr) {
     // The completion event carries the message's provenance: which links it
@@ -246,9 +257,10 @@ void Network::ExportMetrics(trace::MetricsRegistry& metrics) const {
 
 SimTime Network::EstimateArrival(topo::ChipId from, topo::ChipId to,
                                  Bytes bytes) const {
-  if (from == to) return simulator_->now() + config_.message_overhead;
   SimTime head = simulator_->now() + config_.message_overhead;
-  for (const CachedHop& hop : RouteFor(from, to).hops) {
+  const RouteHandle route = Resolve(from, to);
+  for (std::uint32_t i = 0; i < route.num_hops; ++i) {
+    const CachedHop& hop = hops_[route.first_hop + i];
     const SimTime serialize = static_cast<double>(bytes) / hop.bandwidth;
     const SimTime start = std::max(head, link_resources_[hop.link].free_at());
     head = start + serialize + hop.latency;

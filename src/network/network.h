@@ -64,6 +64,23 @@ struct TrafficStats {
   Bytes total_bytes() const {
     return mesh_x_bytes + cross_pod_x_bytes + mesh_y_bytes + wrap_y_bytes;
   }
+  // Counts one hop of a `bytes`-sized message over a link of `type`.
+  void AddHop(topo::LinkType type, Bytes bytes) {
+    switch (type) {
+      case topo::LinkType::kMeshX:
+        mesh_x_bytes += bytes;
+        break;
+      case topo::LinkType::kCrossPodX:
+        cross_pod_x_bytes += bytes;
+        break;
+      case topo::LinkType::kMeshY:
+        mesh_y_bytes += bytes;
+        break;
+      case topo::LinkType::kWrapY:
+        wrap_y_bytes += bytes;
+        break;
+    }
+  }
   TrafficStats& operator+=(const TrafficStats& other) {
     mesh_x_bytes += other.mesh_x_bytes;
     cross_pod_x_bytes += other.cross_pod_x_bytes;
@@ -72,6 +89,16 @@ struct TrafficStats {
     messages += other.messages;
     return *this;
   }
+};
+
+// A resolved route: the chip pair plus where its hop schedule sits in the
+// resolving network's route cache (Network::Resolve). A 16-byte value; pass
+// it to that network's Send.
+struct RouteHandle {
+  topo::ChipId from = -1;
+  topo::ChipId to = -1;
+  std::uint32_t first_hop = 0;  // index into the network's hop table
+  std::uint32_t num_hops = 0;   // 0 for, and only for, a self-send
 };
 
 // A fork lane. While a thread runs one link-disjoint group of a forked
@@ -124,12 +151,38 @@ class Network {
 
   int PodOf(topo::ChipId chip) const { return topology_->PodOf(chip); }
 
-  // Sends `bytes` from `from` to `to` along the dimension-ordered route.
-  // `on_done` fires at the simulated time the message fully arrives.
-  // Zero-byte messages still pay per-message overhead and hop latency
-  // (they model control/barrier traffic).
-  void Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
+  // Resolves the dimension-ordered (from, to) route, computing and caching
+  // its hop schedule on first use. Routes depend only on the (immutable)
+  // topology and the per-construction config, so entries are never
+  // invalidated.
+  //
+  // Stability contract: a handle stays valid for the network's lifetime.
+  // It names an index range of one flat hop table that only ever grows, so
+  // resolving further routes (which may reallocate the table) never moves
+  // or changes a resolved route. Callers that send over one pair many times
+  // — a ring pass, once per rank per step — resolve once and keep the
+  // handle.
+  //
+  // Read-only fork contract: while a forked stage's lanes run (ScopedLane),
+  // the cache is only read. The forking thread warms every route the
+  // stage's groups use (ForEachRouteLink) before the lanes start and parks
+  // until they join; a lane resolving a cold route fails loudly instead of
+  // racing its sibling lanes on the cache. network_test's NetworkPdes cases
+  // hold the fork contract under TSan, and RouteHandleSurvivesCacheGrowth the
+  // stability contract under ASan.
+  RouteHandle Resolve(topo::ChipId from, topo::ChipId to) const;
+
+  // Sends `bytes` over a resolved route (see Resolve). `on_done` fires at
+  // the simulated time the message fully arrives. Zero-byte messages still
+  // pay per-message overhead and hop latency (they model control/barrier
+  // traffic).
+  void Send(const RouteHandle& route, Bytes bytes,
             sim::Simulator::Callback on_done);
+  // Resolves (from, to) and sends over it.
+  void Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
+            sim::Simulator::Callback on_done) {
+    Send(Resolve(from, to), bytes, std::move(on_done));
+  }
 
   // Pure function of current link occupancy: the time Send would complete if
   // issued now *on healthy links*. Deliberately ignores injected degradation
@@ -150,7 +203,10 @@ class Network {
   // read the cache.
   template <typename Fn>
   void ForEachRouteLink(topo::ChipId from, topo::ChipId to, Fn&& fn) const {
-    for (const CachedHop& hop : RouteFor(from, to).hops) fn(hop.link);
+    const RouteHandle route = Resolve(from, to);
+    for (std::uint32_t i = 0; i < route.num_hops; ++i) {
+      fn(hops_[route.first_hop + i].link);
+    }
   }
   // Highest per-link utilization (busy fraction of elapsed sim time).
   double MaxLinkUtilization() const;
@@ -237,16 +293,18 @@ class Network {
     SimTime latency;
     Bandwidth bandwidth;
   };
-  struct CachedRoute {
-    std::vector<CachedHop> hops;
-  };
 
-  // Returns the cached hop schedule for (from, to), computing and memoizing
-  // it on first use. Routes depend only on the (immutable) topology and the
-  // per-construction config, so entries are never invalidated. A miss on a
-  // thread with a fork lane fails loudly: lanes run concurrently and may
-  // only read the cache (see route_cache_).
-  const CachedRoute& RouteFor(topo::ChipId from, topo::ChipId to) const;
+  // The time a hop holds its link: the healthy serialization time scaled by
+  // the link's live degradation, plus kFailedLinkStall on a failed link.
+  // Both branches of Send time their hops with it.
+  SimTime LiveSerialize(const CachedHop& hop, SimTime healthy) const {
+    SimTime serialize = healthy * degradation_[hop.link];
+    // A failed link stalls the message: it eventually "arrives" (so the
+    // event queue drains and simulations terminate), but far past any
+    // deadline a health monitor would set.
+    if (failed_[hop.link] != 0) serialize += kFailedLinkStall;
+    return serialize;
+  }
 
   // Recomputes the effective degradation_[link] after a source was added or
   // removed, and emits the restore trace instant when the link heals.
@@ -264,17 +322,14 @@ class Network {
   // short-lived, so a flat list with linear scans beats per-link storage.
   std::vector<std::pair<topo::LinkId, double>> degrade_sources_;
   TrafficStats traffic_;
-  // Indexed by source chip; each entry is the handful of (destination,
-  // hop schedule) pairs that source has ever messaged — collectives only talk
-  // to ring/recursive-halving neighbours, so a linear scan beats hashing.
-  // Mutable because EstimateArrival is const but may warm the cache.
-  //
-  // Concurrency contract (forked stages): the forking thread warms every
-  // route a stage's groups will use (ForEachRouteLink) before the lanes
-  // start, and parks until they join, so during a fork the cache is only
-  // read. network_test's NetworkPdes cases hold this contract under TSan.
-  mutable std::vector<std::vector<std::pair<topo::ChipId, CachedRoute>>>
-      route_cache_;
+  // The route cache (see Resolve for its stability and fork contracts).
+  // hops_ holds every resolved route's hops back to back; route_cache_,
+  // indexed by source chip, holds the handful of routes that source has
+  // ever resolved — collectives only talk to ring/recursive-halving
+  // neighbours, so a linear scan beats hashing. Mutable because Resolve and
+  // EstimateArrival are const but may warm the cache.
+  mutable std::vector<CachedHop> hops_;
+  mutable std::vector<std::vector<RouteHandle>> route_cache_;
 
   trace::TraceRecorder* trace_recorder_ = nullptr;  // cache key, not owned
   std::vector<trace::TraceRecorder::TrackId> link_tracks_;

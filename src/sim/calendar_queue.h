@@ -64,6 +64,16 @@ class CalendarQueue {
   // Times the window re-centered on the overflow heap (event-core health).
   std::uint64_t refills() const { return refills_; }
 
+  // Returns a drained queue to its constructed state — window at time 0, no
+  // refills — keeping the buckets' and the slab's memory.
+  void Reset() {
+    TPU_CHECK(empty()) << "Reset on a non-empty CalendarQueue";
+    cursor_ = 0;
+    window_start_ = 0.0;
+    window_end_ = bucket_width_ * static_cast<SimTime>(num_buckets_);
+    refills_ = 0;
+  }
+
   void Push(Event&& event) {
     const Node node{event.when, event.seq, Store(std::move(event))};
     if (node.when >= window_end_) {

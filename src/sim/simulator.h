@@ -38,33 +38,46 @@ class Simulator {
   explicit Simulator(CallbackPool* pool)
       : pool_(pool), pool_baseline_(pool->stats()) {}
 
-  SimTime now() const { return now_; }
+  SimTime now() const { return run_.now; }
+
+  // Returns a drained simulator to its constructed state: clock, seq counter
+  // and every counter zeroed, callback-pool stats re-baselined, the calendar
+  // window back at time 0. The calendar's buckets and event slab keep their
+  // memory, so a simulator reused this way — one per fork-pool worker, one
+  // forked ring group after another — allocates nothing per reuse and runs
+  // exactly as a fresh one would.
+  void Reset() {
+    TPU_CHECK(queue_.empty()) << "Reset with events pending";
+    queue_.Reset();
+    run_ = {};
+    pool_baseline_ = pool_->stats();
+  }
 
   // Schedules `cb` to run at now() + delay. delay must be >= 0. Returns the
   // event's seq — its identity for causal observers (EventObserver).
   std::uint64_t Schedule(SimTime delay, Callback cb) {
     TPU_CHECK_GE(delay, 0.0);
-    return ScheduleAt(now_ + delay, std::move(cb));
+    return ScheduleAt(run_.now + delay, std::move(cb));
   }
 
   // Schedules `cb` at an absolute simulated time >= now(). Returns the
   // event's seq.
   std::uint64_t ScheduleAt(SimTime when, Callback cb) {
-    TPU_CHECK_GE(when, now_);
+    TPU_CHECK_GE(when, run_.now);
     if (cb.storage() == EventCallback::Storage::kInline) {
-      ++callbacks_inline_;
+      ++run_.callbacks_inline;
     } else {
-      ++callbacks_pooled_;
+      ++run_.callbacks_pooled;
     }
-    const std::uint64_t seq = next_seq_++;
+    const std::uint64_t seq = run_.next_seq++;
     queue_.Push(Event{when, seq, std::move(cb)});
-    ++events_scheduled_;
+    ++run_.events_scheduled;
     // Pending telemetry events share the queue but not the accounting: the
     // work-event high-water mark must read the same with sampling on or off.
     const std::size_t depth = queue_.size() - telemetry_seqs_.size();
-    if (depth > peak_queue_depth_) peak_queue_depth_ = depth;
+    if (depth > run_.peak_queue_depth) run_.peak_queue_depth = depth;
     if (EventObserver* observer = CurrentEventObserver()) {
-      observer->OnSchedule(seq, current_seq_, now_, when);
+      observer->OnSchedule(seq, run_.current_seq, run_.now, when);
     }
     return seq;
   }
@@ -78,10 +91,10 @@ class Simulator {
   // bit-identical with sampling on or off. Telemetry callbacks must only
   // observe and (re)schedule further telemetry events, never work events.
   std::uint64_t ScheduleTelemetryAt(SimTime when, Callback cb) {
-    TPU_CHECK_GE(when, now_);
-    const std::uint64_t seq = next_seq_++;
+    TPU_CHECK_GE(when, run_.now);
+    const std::uint64_t seq = run_.next_seq++;
     queue_.Push(Event{when, seq, std::move(cb)});
-    ++telemetry_events_scheduled_;
+    ++run_.telemetry_events_scheduled;
     telemetry_seqs_.push_back(seq);  // seqs are monotonic: stays sorted
     return seq;
   }
@@ -89,7 +102,7 @@ class Simulator {
   // Runs until the event queue drains. Returns the final clock value.
   SimTime Run() {
     while (!queue_.empty()) Step();
-    return now_;
+    return run_.now;
   }
 
   // Advances the clock to `when` and runs `fn` as if it were the body of an
@@ -101,8 +114,8 @@ class Simulator {
   // event.
   template <typename Fn>
   void ExecuteAt(SimTime when, Fn&& fn) {
-    TPU_CHECK_GE(when, now_);
-    now_ = when;
+    TPU_CHECK_GE(when, run_.now);
+    run_.now = when;
     std::forward<Fn>(fn)();
   }
 
@@ -120,18 +133,18 @@ class Simulator {
   SimTime RunUntil(SimTime deadline,
                    DeadlinePolicy policy = DeadlinePolicy::kAdvanceToDeadline) {
     while (!queue_.empty() && queue_.Top().when <= deadline) Step();
-    if (policy == DeadlinePolicy::kAdvanceToDeadline && now_ < deadline) {
-      now_ = deadline;
+    if (policy == DeadlinePolicy::kAdvanceToDeadline && run_.now < deadline) {
+      run_.now = deadline;
     }
-    return now_;
+    return run_.now;
   }
 
   bool empty() const { return queue_.empty(); }
-  std::uint64_t events_processed() const { return events_processed_; }
+  std::uint64_t events_processed() const { return run_.events_processed; }
   // Total events ever scheduled (processed + still queued).
-  std::uint64_t events_scheduled() const { return events_scheduled_; }
+  std::uint64_t events_scheduled() const { return run_.events_scheduled; }
   // High-water mark of the pending-event queue.
-  std::size_t peak_queue_depth() const { return peak_queue_depth_; }
+  std::size_t peak_queue_depth() const { return run_.peak_queue_depth; }
   // Pending work events right now (telemetry-class events excluded) — the
   // quantity the telemetry sampler itself records as "sim.queue_depth".
   std::size_t queue_depth() const {
@@ -140,17 +153,17 @@ class Simulator {
   // Telemetry-class events, accounted separately from the user-visible
   // events_scheduled()/events_processed() counters.
   std::uint64_t telemetry_events_scheduled() const {
-    return telemetry_events_scheduled_;
+    return run_.telemetry_events_scheduled;
   }
   std::uint64_t telemetry_events_processed() const {
-    return telemetry_events_processed_;
+    return run_.telemetry_events_processed;
   }
   // Event-core health: how callbacks were stored, and how the out-of-line
   // pool behaved over this simulator's lifetime (deltas against the owning
   // thread's pool at construction — exact while one simulator at a time runs
   // on the thread, which is how every driver here uses them).
-  std::uint64_t callbacks_inline() const { return callbacks_inline_; }
-  std::uint64_t callbacks_pooled() const { return callbacks_pooled_; }
+  std::uint64_t callbacks_inline() const { return run_.callbacks_inline; }
+  std::uint64_t callbacks_pooled() const { return run_.callbacks_pooled; }
   std::uint64_t pool_hits() const {
     return pool_->stats().hits - pool_baseline_.hits;
   }
@@ -174,27 +187,27 @@ class Simulator {
     // PopTop moves the event out before the callback runs, so callbacks are
     // free to schedule new events (no reference into the queue is held).
     Event ev = queue_.PopTop();
-    TPU_CHECK_GE(ev.when, now_);
-    now_ = ev.when;
+    TPU_CHECK_GE(ev.when, run_.now);
+    run_.now = ev.when;
     // Telemetry events advance the clock to their own timestamp (which never
     // reorders work events — they only fire between work events at the same
     // instant boundaries the queue's total order already defines) but touch
     // none of the work-event accounting and stay invisible to observers.
     // The emptiness check keeps the telemetry-off hot path at one branch.
     if (!telemetry_seqs_.empty() && PopTelemetrySeq(ev.seq)) {
-      ++telemetry_events_processed_;
+      ++run_.telemetry_events_processed;
       ev.cb();
       return;
     }
-    ++events_processed_;
+    ++run_.events_processed;
     if (EventObserver* observer = CurrentEventObserver()) {
-      // Events scheduled by ev.cb() are causally ev's children; current_seq_
-      // only matters (and is only maintained) while an observer is installed,
-      // so the disabled-path cost stays one load and branch.
-      current_seq_ = static_cast<std::int64_t>(ev.seq);
+      // Events scheduled by ev.cb() are causally ev's children; the current
+      // seq only matters (and is only maintained) while an observer is
+      // installed, so the disabled-path cost stays one load and branch.
+      run_.current_seq = static_cast<std::int64_t>(ev.seq);
       observer->OnFire(ev.seq, ev.when);
       ev.cb();
-      current_seq_ = EventObserver::kNoEvent;
+      run_.current_seq = EventObserver::kNoEvent;
     } else {
       ev.cb();
     }
@@ -212,18 +225,26 @@ class Simulator {
     return true;
   }
 
+  // The clock, the seq counter and every counter: all a run changes besides
+  // the queue (and the telemetry seqs, pending only while the queue is not
+  // empty). Reset value-initialises it, so a member added here is reset
+  // with the rest.
+  struct RunState {
+    SimTime now = 0.0;
+    std::uint64_t next_seq = 0;
+    std::int64_t current_seq = EventObserver::kNoEvent;
+    std::uint64_t events_processed = 0;
+    std::uint64_t events_scheduled = 0;
+    std::size_t peak_queue_depth = 0;
+    std::uint64_t callbacks_inline = 0;
+    std::uint64_t callbacks_pooled = 0;
+    std::uint64_t telemetry_events_scheduled = 0;
+    std::uint64_t telemetry_events_processed = 0;
+  };
+
   CalendarQueue<Event> queue_;
-  SimTime now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  std::int64_t current_seq_ = EventObserver::kNoEvent;
-  std::uint64_t events_processed_ = 0;
-  std::uint64_t events_scheduled_ = 0;
-  std::size_t peak_queue_depth_ = 0;
-  std::uint64_t callbacks_inline_ = 0;
-  std::uint64_t callbacks_pooled_ = 0;
+  RunState run_;
   std::vector<std::uint64_t> telemetry_seqs_;
-  std::uint64_t telemetry_events_scheduled_ = 0;
-  std::uint64_t telemetry_events_processed_ = 0;
   CallbackPool* pool_;
   CallbackPool::Stats pool_baseline_;
 };

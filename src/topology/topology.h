@@ -128,6 +128,17 @@ class MeshTopology {
   std::vector<ChipId> Route(ChipId from, ChipId to) const;
   // The directed links traversed by Route(from, to).
   std::vector<LinkId> RouteLinks(ChipId from, ChipId to) const;
+  // Calls fn(link) for every link of RouteLinks(from, to), in route order,
+  // without allocating: the planner's closed-form tier prices every hop of
+  // every candidate this way.
+  template <typename Fn>
+  void ForEachRouteLink(ChipId from, ChipId to, Fn&& fn) const {
+    ChipId at = from;
+    ForEachRouteChip(from, to, [&](ChipId next) {
+      fn(LinkBetween(at, next));
+      at = next;
+    });
+  }
 
   // Sparse-routing visibility: the chips in the same row or column (the
   // neighbor set the 1024-entry routing table can hold).
@@ -166,6 +177,31 @@ class MeshTopology {
   std::string ToString() const;
 
  private:
+  // Calls fn(chip) for every chip of Route(from, to) after `from`. Each
+  // dimension is walked in its shorter direction (ties go forward); a mesh
+  // dimension always walks towards the target.
+  template <typename Fn>
+  void ForEachRouteChip(ChipId from, ChipId to, Fn&& fn) const {
+    const Coord a = CoordOf(from);
+    const Coord b = CoordOf(to);
+    auto walk = [](int cur, int target, int size, bool wrap, auto&& visit) {
+      int step = target > cur ? 1 : -1;
+      if (wrap) {
+        const int forward = (target - cur + size) % size;
+        const int backward = (cur - target + size) % size;
+        step = forward <= backward ? 1 : -1;
+      }
+      while (cur != target) {
+        cur = (cur + step + size) % size;
+        visit(cur);
+      }
+    };
+    walk(a.x, b.x, size_x(), config_.wrap_x,
+         [&](int x) { fn(ChipAt({x, a.y})); });
+    walk(a.y, b.y, size_y(), config_.wrap_y,
+         [&](int y) { fn(ChipAt({b.x, y})); });
+  }
+
   void BuildLinks();
   LinkId AddLink(ChipId from, ChipId to, LinkType type);
 

@@ -594,6 +594,32 @@ TEST(PdesSummation, PendingLinkDegradationKeepsItsStageUnforked) {
   ExpectSameRun(engaged, serial);
 }
 
+// Fork lanes run on one simulator per pool worker, reset between lanes. A
+// failed +Y link in column 0 stalls that column's lane (the first one
+// scheduled) by kFailedLinkStall per ring step, so its calendar re-centres
+// its window hours out; the worker then runs later columns' lanes, which
+// start back at the stage start, on that same simulator. Every thread count
+// must match the serial run bit for bit.
+TEST(PdesSummation, FailedLinkStallLaneRecyclesItsWorkerSimulator) {
+  auto fail = [](const topo::MeshTopology& topo, sim::Simulator&,
+                 net::Network& network, PdesRun&) {
+    network.FailLink(
+        topo.LinkBetween(topo.ChipAt({0, 2}), topo.ChipAt({0, 3})));
+  };
+  const PdesRun serial = RunPdesSummation(1, fail);
+  ASSERT_FALSE(serial.pdes.engaged);
+  EXPECT_TRUE(serial.result.timed_out);
+  EXPECT_GT(serial.result.phase_seconds.y_reduce_scatter,
+            net::Network::kFailedLinkStall);
+  for (const int threads : {2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    const PdesRun engaged = RunPdesSummation(threads, fail);
+    ASSERT_TRUE(engaged.pdes.engaged);
+    EXPECT_EQ(engaged.pdes.windows, 4u);
+    ExpectSameRun(engaged, serial);
+  }
+}
+
 // A telemetry sampler ticking on the simulator keeps a tick pending at every
 // stage start, so no stage forks: each tick reads the network at exactly the
 // instant the serial run does, and the sampled series match byte for byte.

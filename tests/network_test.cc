@@ -111,6 +111,45 @@ TEST_F(NetworkTest, EstimateArrivalMatchesIdleSend) {
   EXPECT_NEAR(estimate, done_at, 1e-12);
 }
 
+// Route handles name an index range of the cache's flat hop table, so a
+// handle stays valid while its source's cache (and the table) grows: here the
+// source resolves every other chip of its row and column after the handle
+// was taken, which reallocates both, and the send on the old handle still
+// times exactly like a send on a fresh network. The ASan job would flag a
+// handle that pointed into moved storage.
+TEST_F(NetworkTest, RouteHandleSurvivesCacheGrowth) {
+  const topo::ChipId a = topo_.ChipAt({0, 0});
+  const topo::ChipId b = topo_.ChipAt({3, 2});
+  const RouteHandle handle = network_.Resolve(a, b);
+  EXPECT_EQ(handle.from, a);
+  EXPECT_EQ(handle.to, b);
+  EXPECT_EQ(handle.num_hops, 5u);  // 3 X hops, then 2 Y hops
+  for (const topo::ChipId other : topo_.VisibleChips(a)) {
+    network_.Resolve(a, other);
+    network_.Resolve(other, a);
+  }
+  const RouteHandle again = network_.Resolve(a, b);
+  EXPECT_EQ(again.first_hop, handle.first_hop);
+  EXPECT_EQ(again.num_hops, handle.num_hops);
+
+  SimTime done_at = -1;
+  network_.Send(handle, 10000, [&] { done_at = simulator_.now(); });
+  simulator_.Run();
+
+  sim::Simulator fresh_simulator;
+  Network fresh(&topo_, MakeConfig(), &fresh_simulator);
+  SimTime fresh_done_at = -1;
+  fresh.Send(a, b, 10000, [&] { fresh_done_at = fresh_simulator.now(); });
+  fresh_simulator.Run();
+  EXPECT_EQ(done_at, fresh_done_at);
+  EXPECT_EQ(network_.traffic().mesh_x_bytes, 3 * 10000);
+  EXPECT_EQ(network_.traffic().mesh_y_bytes, 2 * 10000);
+
+  // A self-send resolves to an empty route without touching the cache.
+  const RouteHandle self = network_.Resolve(a, a);
+  EXPECT_EQ(self.num_hops, 0u);
+}
+
 TEST(NetworkCrossPod, CrossPodLatencyIsHigher) {
   topo::MeshTopology topo(topo::TopologyConfig::Multipod(2));
   sim::Simulator simulator;
@@ -130,7 +169,7 @@ TEST(NetworkCrossPod, CrossPodLatencyIsHigher) {
   EXPECT_GT(network.traffic().cross_pod_x_bytes, 0);
 }
 
-// The fork-lane contract (network.h: Lane and route_cache_): once the
+// The fork-lane contract (network.h: Lane and Resolve): once the
 // forking thread has warmed every route with ForEachRouteLink, threads that
 // each run link-disjoint sends on a Simulator of their own under a
 // ScopedLane only read the shared route cache and count traffic into their

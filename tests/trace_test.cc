@@ -10,9 +10,12 @@
 #include <vector>
 
 #include "collectives/all_reduce.h"
+#include "collectives/halving_doubling.h"
+#include "collectives/ring.h"
 #include "core/sweep.h"
 #include "fault/fault_injector.h"
 #include "network/network.h"
+#include "sim/event_observer.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 #include "trace/metrics.h"
@@ -105,6 +108,143 @@ coll::GradientSummationResult RunSmallSummation() {
     return Seconds(static_cast<double>(owned) * 1e-9);
   };
   return coll::TwoDGradientSummation(network, config);
+}
+
+// Counts what it is shown and records nothing; installing it switches
+// net::Network::Send to its observed branch, as the critical-path tracker
+// does.
+class CountingObserver : public sim::EventObserver {
+ public:
+  void OnSchedule(std::uint64_t, std::int64_t, SimTime, SimTime) override {}
+  void OnFire(std::uint64_t, SimTime) override {}
+  void OnMessage(std::uint64_t, sim::MessageRecord) override { ++messages; }
+
+  int messages = 0;
+};
+
+// Everything a run leaves that either branch of Send could move.
+struct SendOutcome {
+  std::vector<SimTime> times;
+  std::vector<float> data;
+  net::TrafficStats traffic;
+  std::uint64_t events = 0;
+};
+
+// One scenario on two 4x4 pods (Y wraps, one cross-pod X boundary) with the
+// +X link (1,1)->(2,1) degraded 4x and the +Y link (5,2)->(5,3) failed.
+SendOutcome RunSendScenario(int scenario) {
+  topo::TopologyConfig shape;
+  shape.pod_size_x = 4;
+  shape.pod_size_y = 4;
+  shape.num_pods = 2;
+  const topo::MeshTopology topo(shape);
+  sim::Simulator simulator;
+  net::Network network(&topo, {}, &simulator);
+  network.DegradeLink(
+      topo.LinkBetween(topo.ChipAt({1, 1}), topo.ChipAt({2, 1})), 4.0);
+  network.FailLink(topo.LinkBetween(topo.ChipAt({5, 2}), topo.ChipAt({5, 3})));
+  SendOutcome out;
+  auto stamp = [&] { out.times.push_back(simulator.now()); };
+  switch (scenario) {
+    case 0:  // point to point
+      network.Send(3, 3, 4096, stamp);  // self-send
+      network.Send(topo.ChipAt({0, 1}), topo.ChipAt({3, 1}), 4096, stamp);
+      network.Send(topo.ChipAt({5, 1}), topo.ChipAt({5, 3}), 4096, stamp);
+      network.Send(topo.ChipAt({2, 2}), topo.ChipAt({6, 2}), 4096, stamp);
+      network.Send(topo.ChipAt({0, 0}), topo.ChipAt({1, 0}), 0, stamp);
+      // Queues behind the second send on the degraded link.
+      network.Send(topo.ChipAt({0, 1}), topo.ChipAt({3, 1}), 4096, stamp);
+      simulator.Run();
+      break;
+    case 1: {  // halving-doubling along row 1: degraded and cross-pod hops
+      coll::RingSpec group;
+      for (int x = 0; x < 8; ++x) group.order.push_back(topo.ChipAt({x, 1}));
+      group.range = coll::Range{0, 1 << 12};
+      out.times.push_back(coll::HdReduceScatter(network, {group}, {}));
+      out.times.push_back(coll::HdAllGather(network, {group}, {}));
+      break;
+    }
+    case 2: {  // data-carrying bf16 ring along column 5, over the failed link
+      coll::RingSpec ring;
+      ring.order = topo.RingAlong(topo::Dim::kY, topo.ChipAt({5, 0}));
+      std::vector<std::vector<float>> buffers(ring.order.size());
+      for (std::size_t rank = 0; rank < buffers.size(); ++rank) {
+        for (int i = 0; i < 37; ++i) {
+          buffers[rank].push_back(0.37f * static_cast<float>(i) +
+                                  static_cast<float>(rank));
+        }
+        ring.data.push_back(buffers[rank].data());
+      }
+      ring.range = coll::Range{0, 37};
+      coll::CollectiveOptions options;
+      options.bfloat16_wire = true;
+      out.times.push_back(coll::AllReduce(network, {ring}, options));
+      for (const std::vector<float>& buffer : buffers) {
+        out.data.insert(out.data.end(), buffer.begin(), buffer.end());
+      }
+      break;
+    }
+    default: {  // the 2-D summation with a sharded update
+      coll::GradientSummationConfig config;
+      config.elems = 1 << 12;
+      config.shard_update_seconds = [](std::int64_t owned) {
+        return Seconds(static_cast<double>(owned) * 1e-9);
+      };
+      const coll::GradientSummationResult result =
+          coll::TwoDGradientSummation(network, config);
+      out.times = {result.reduce_seconds, result.update_seconds,
+                   result.broadcast_seconds};
+      break;
+    }
+  }
+  out.traffic = network.traffic();
+  out.events = simulator.events_processed();
+  return out;
+}
+
+// Send takes a lean branch when no trace recorder, metrics registry or
+// event observer is installed, and the recording branch otherwise. Every
+// scenario — self-send, degraded and failed links, a cross-pod hop, zero
+// bytes, halving-doubling, a data-carrying ring, the 2-D summation — must
+// give bit-identical timings, data, per-class traffic and event counts under
+// each observation mode.
+TEST(TracedSimulation, SendBranchesBitIdenticalUnderEveryObservationMode) {
+  constexpr int kTrace = 1, kMetrics = 2, kObserver = 4;
+  for (int scenario = 0; scenario < 4; ++scenario) {
+    const SendOutcome off = RunSendScenario(scenario);
+    EXPECT_GT(off.traffic.messages, 0);
+    for (const int mode : {kTrace, kMetrics, kObserver,
+                           kTrace | kMetrics | kObserver}) {
+      SCOPED_TRACE(testing::Message()
+                   << "scenario " << scenario << " mode " << mode);
+      trace::TraceRecorder recorder;
+      trace::MetricsRegistry metrics;
+      CountingObserver observer;
+      trace::ScopedTrace scoped_trace((mode & kTrace) ? &recorder : nullptr);
+      trace::ScopedMetrics scoped_metrics((mode & kMetrics) ? &metrics
+                                                            : nullptr);
+      sim::ScopedEventObserver scoped_observer(
+          (mode & kObserver) ? &observer : nullptr);
+      const SendOutcome on = RunSendScenario(scenario);
+      EXPECT_EQ(on.times, off.times);
+      EXPECT_EQ(on.data, off.data);
+      EXPECT_EQ(on.traffic.mesh_x_bytes, off.traffic.mesh_x_bytes);
+      EXPECT_EQ(on.traffic.cross_pod_x_bytes, off.traffic.cross_pod_x_bytes);
+      EXPECT_EQ(on.traffic.mesh_y_bytes, off.traffic.mesh_y_bytes);
+      EXPECT_EQ(on.traffic.wrap_y_bytes, off.traffic.wrap_y_bytes);
+      EXPECT_EQ(on.traffic.messages, off.traffic.messages);
+      EXPECT_EQ(on.events, off.events);
+      if (mode & kTrace) {
+        EXPECT_GT(recorder.event_count(), 0u);
+      }
+      if (mode & kMetrics) {
+        EXPECT_FALSE(metrics.empty());
+      }
+      if (mode & kObserver) {
+        EXPECT_EQ(observer.messages, off.traffic.messages);
+      }
+    }
+  }
 }
 
 TEST(TracedSimulation, ResultsBitIdenticalWithTracingOnOrOff) {
