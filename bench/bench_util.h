@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/ambient.h"
 #include "telemetry/telemetry.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -198,9 +199,11 @@ inline void InitObservability() {
     env.telemetry_path = "telemetry.json";
   }
 
-  if (!env.trace_path.empty()) trace::SetCurrentTrace(&env.recorder);
-  if (env.metrics_on) trace::SetCurrentMetrics(&env.metrics);
-  if (env.telemetry_on) telemetry::SetCurrentTelemetry(&env.telemetry);
+  // Installed for the whole process run on the main thread; never restored.
+  sim::Ambient& ambient = sim::CurrentAmbient();
+  if (!env.trace_path.empty()) ambient.trace = &env.recorder;
+  if (env.metrics_on) ambient.metrics = &env.metrics;
+  if (env.telemetry_on) ambient.telemetry = &env.telemetry;
   if (!env.trace_path.empty() || env.metrics_on || env.telemetry_on) {
     std::atexit(FlushObservability);
   }

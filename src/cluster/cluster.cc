@@ -13,7 +13,7 @@
 #include "plan/generator.h"
 #include "plan/plan_ir.h"
 #include "plan/planner.h"
-#include "sim/event_observer.h"
+#include "sim/ambient.h"
 #include "telemetry/probes.h"
 #include "telemetry/sampler.h"
 #include "telemetry/telemetry.h"
@@ -29,16 +29,6 @@ constexpr const char* kQueued = "queued";
 constexpr const char* kReserved = "reserved";
 constexpr const char* kRunning = "running";
 constexpr const char* kCompleted = "completed";
-
-// Silences the thread-local observability slots around throwaway pricing
-// estimates/simulations (the multipod recovery-oracle idiom): cluster
-// timestamps and reports stay bit-identical with tracing/telemetry on.
-struct SilencedScope {
-  trace::ScopedTrace no_trace{nullptr};
-  trace::ScopedMetrics no_metrics{nullptr};
-  sim::ScopedEventObserver no_observer{nullptr};
-  telemetry::ScopedTelemetry no_telemetry{nullptr};
-};
 
 }  // namespace
 
@@ -105,7 +95,7 @@ std::shared_ptr<ClusterSimulation::ShapePricing> ClusterSimulation::PricingFor(
   pricing->cache = std::make_shared<plan::PlanCache>();
   const models::ModelSpec& spec = models::GetModelSpec(benchmark);
   {
-    SilencedScope silence;
+    sim::ScopedUnobserved unobserved;
     core::MultipodSystem system(pricing->slice_config, config_.system);
     const core::StepBreakdown step =
         system.SimulateStep(spec, global_batch, 1, nullptr);
@@ -121,7 +111,7 @@ std::shared_ptr<ClusterSimulation::ShapePricing> ClusterSimulation::PricingFor(
   pricing->lowered =
       plan::LowerPlan(*pricing->topo, paper, pricing->request.elems);
   {
-    SilencedScope silence;
+    sim::ScopedUnobserved unobserved;
     pricing->comm_healthy = plan::EstimatePlanSeconds(
         *pricing->topo, config_.system.network, {}, pricing->lowered);
   }
@@ -433,7 +423,7 @@ recover::StepPricer ClusterSimulation::BuildPricer(Incarnation* inc) {
   // Closed-form comm estimate of the current schedule under the slice-local
   // link snapshot (multipod.cc's degraded-step idiom on the slice mesh).
   pricer.degraded_step = [pricing, netcfg](const plan::LinkHealthSet& health) {
-    SilencedScope silence;
+    sim::ScopedUnobserved unobserved;
     const SimTime comm = plan::EstimatePlanSeconds(*pricing->topo, netcfg,
                                                    health, pricing->lowered);
     if (pricing->comm_healthy <= 0) return pricing->healthy_step;
@@ -441,7 +431,7 @@ recover::StepPricer ClusterSimulation::BuildPricer(Incarnation* inc) {
            pricing->healthy_allreduce * (comm / pricing->comm_healthy - 1.0);
   };
   pricer.replanned_step = [pricing, netcfg](const plan::LinkHealthSet& health) {
-    SilencedScope silence;
+    sim::ScopedUnobserved unobserved;
     const SimTime planned_healthy =
         plan::FindBestPlan(*pricing->topo, netcfg, pricing->request, {},
                            pricing->cache.get())

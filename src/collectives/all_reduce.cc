@@ -10,7 +10,7 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "common/thread_pool.h"
-#include "sim/pdes.h"
+#include "sim/ambient.h"
 #include "sim/simulator.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -336,27 +336,26 @@ SummationRun RunSummationStages(
 
   // Phase labels for the causal observer (critical-path attribution): set
   // just before each stage schedules its events. Pure observation.
-  sim::EventObserver* observer = sim::CurrentEventObserver();
+  const sim::Ambient& ambient = sim::CurrentAmbient();
+  sim::EventObserver* observer = ambient.observer;
 
   // Fork/join (DESIGN.md §16): when the ambient sim::PdesConfig asks for
   // more than one thread and the run is time-only (no payload buffers, so
-  // no shared payload state) and unobserved (trace, metrics and causal
-  // observers record per-event state on the issuing thread), each stage
-  // whose groups split into several link-disjoint components, and which
-  // starts with nothing else pending on `simulator`, runs each component on
-  // a Simulator of its own on a thread pool. The chain continues at the
-  // latest component end. Timestamps, event counts and traffic totals are
-  // bit-identical to the serial run at any thread count; threads <= 1 pays
-  // exactly one branch here.
-  const sim::PdesConfig& pdes = sim::CurrentPdesConfig();
+  // no shared payload state) and unobserved (every sink records per-event
+  // state on the issuing thread), each stage whose groups split into
+  // several link-disjoint components, and which starts with nothing else
+  // pending on `simulator`, runs each component on a Simulator of its own
+  // on a thread pool. The chain continues at the latest component end.
+  // Timestamps, event counts and traffic totals are bit-identical to the
+  // serial run at any thread count; threads <= 1 pays exactly one branch
+  // here.
+  const sim::PdesConfig& pdes = ambient.pdes;
   const bool time_only =
       std::none_of(stages.begin(), stages.end(), [](const SummationStage& s) {
         return !s.specs->empty() && s.specs->front().has_data();
       });
-  const bool engaged = pdes.enable && pdes.threads > 1 && time_only &&
-                       trace::CurrentTrace() == nullptr &&
-                       observer == nullptr &&
-                       trace::CurrentMetrics() == nullptr;
+  const bool engaged =
+      pdes.enable && pdes.threads > 1 && time_only && !ambient.Observed();
   std::unique_ptr<ThreadPool> pool;
   sim::PdesStats stats;
 

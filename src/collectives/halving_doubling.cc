@@ -4,13 +4,12 @@
 #include <memory>
 #include <utility>
 
+#include "collectives/pass_internal.h"
 #include "collectives/payload_pool.h"
 #include "common/bfloat16.h"
 #include "common/check.h"
 #include "common/math_util.h"
 #include "sim/simulator.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
 
 namespace tpu::coll {
 namespace {
@@ -22,37 +21,6 @@ Range ChunkSpan(const Range& range, int parts, int first, int last) {
   const Range hi = ChunkOfRange(range, parts, last - 1);
   return Range{lo.begin, hi.end};
 }
-
-// Join-counter for the per-round rendezvous, owned by its own notifications
-// (see the identical pattern in ring.cc): raw-pointer captures keep the hot
-// per-message callbacks free of refcount traffic.
-class StepBarrier {
- public:
-  StepBarrier(int expected, sim::Simulator::Callback on_all_done)
-      : remaining_(expected), on_all_done_(std::move(on_all_done)) {
-    TPU_CHECK_GT(expected, 0);
-    if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
-      join_ = observer->OnJoinOpen(expected);
-    }
-  }
-
-  void Notify() {
-    if (join_ >= 0) {
-      if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
-        observer->OnJoinNotify(join_);
-      }
-    }
-    if (--remaining_ == 0) {
-      on_all_done_();
-      delete this;
-    }
-  }
-
- private:
-  int remaining_;
-  int join_ = -1;
-  sim::Simulator::Callback on_all_done_;
-};
 
 // One group executing recursive halving (reduce-scatter) or recursive
 // doubling (all-gather). Rounds are separated by a per-group barrier, the
@@ -101,7 +69,7 @@ class HdPass : public std::enable_shared_from_this<HdPass> {
     auto self = shared_from_this();
     // The barrier's continuation holds the shared_ptr that keeps this pass
     // alive; the hot per-message callbacks hold only the raw pointer.
-    StepBarrier* barrier = new StepBarrier(n(), [self, round] {
+    auto* barrier = new internal::StepBarrier(n(), [self, round] {
       if (round + 1 < self->rounds_) {
         self->RunRound(round + 1);
       } else {
@@ -180,26 +148,10 @@ void StartHdGroup(net::Network& network, const RingSpec& spec,
     TPU_CHECK_EQ(spec.data.size(), spec.order.size());
   }
 
-  if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {
-    const trace::TraceRecorder::TrackId track =
-        recorder->Track("system", "rings");
-    std::string name = spec.label.empty() ? "hd" : spec.label;
-    name += kind == HdPass::Kind::kHalving ? " hd-reduce-scatter"
-                                           : " hd-all-gather";
-    const std::uint64_t async_id = recorder->NextAsyncId();
-    sim::Simulator* simulator = &network.simulator();
-    const SimTime begin = simulator->now();
-    recorder->AsyncBegin(track, std::move(name), async_id, begin);
-    on_done = [recorder, track, async_id, simulator, begin,
-               done = std::move(on_done)]() mutable {
-      const SimTime end = simulator->now();
-      recorder->AsyncEnd(track, async_id, end);
-      if (trace::MetricsRegistry* metrics = trace::CurrentMetrics()) {
-        metrics->Histogram("coll.hd_us").Record(ToMicros(end - begin));
-      }
-      done();
-    };
-  }
+  on_done = internal::WithGroupSpan(
+      network, spec.label, "hd",
+      kind == HdPass::Kind::kHalving ? " hd-reduce-scatter" : " hd-all-gather",
+      "coll.hd_us", std::move(on_done));
 
   auto pass = std::make_shared<HdPass>(&network, spec.order, spec.data,
                                        spec.range, kind, options,

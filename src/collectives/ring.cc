@@ -4,13 +4,12 @@
 #include <memory>
 #include <utility>
 
+#include "collectives/pass_internal.h"
 #include "collectives/payload_pool.h"
 #include "common/bfloat16.h"
 #include "common/check.h"
 #include "common/math_util.h"
 #include "sim/simulator.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
 
 namespace tpu::coll {
 namespace {
@@ -37,41 +36,6 @@ std::pair<Range, Range> DirectionHalves(const Range& range) {
   const std::int64_t mid = range.begin + range.size() / 2;
   return {Range{range.begin, mid}, Range{mid, range.end}};
 }
-
-// Join-counter for the per-step rendezvous, owned by its own notifications:
-// the last Notify fires the continuation and deletes the barrier. Callbacks
-// capture it as a raw pointer (8 inline bytes, no refcount traffic), which is
-// safe because every simulated message completes — even failed-link sends
-// finish after their stall — so the notification count always reaches n.
-// Under a causal observer the barrier registers as a join, so slack analysis
-// sees which rank's transfer released each ring step.
-class StepBarrier {
- public:
-  StepBarrier(int expected, sim::Simulator::Callback on_all_done)
-      : remaining_(expected), on_all_done_(std::move(on_all_done)) {
-    TPU_CHECK_GT(expected, 0);
-    if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
-      join_ = observer->OnJoinOpen(expected);
-    }
-  }
-
-  void Notify() {
-    if (join_ >= 0) {
-      if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
-        observer->OnJoinNotify(join_);
-      }
-    }
-    if (--remaining_ == 0) {
-      on_all_done_();
-      delete this;
-    }
-  }
-
- private:
-  int remaining_;
-  int join_ = -1;
-  sim::Simulator::Callback on_all_done_;
-};
 
 // One direction of one ring executing reduce-scatter or all-gather over a
 // contiguous payload sub-range. Steps are separated by a per-ring barrier:
@@ -128,7 +92,7 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
     // The barrier's continuation holds the shared_ptr that keeps this pass
     // alive until the step completes; the hot per-message callbacks hold only
     // the raw barrier pointer.
-    StepBarrier* barrier = new StepBarrier(n(), [self, step] {
+    auto* barrier = new internal::StepBarrier(n(), [self, step] {
       if (step + 1 < self->n() - 1) {
         self->RunStep(step + 1);
       } else {
@@ -205,29 +169,11 @@ void StartRing(net::Network& network, const RingSpec& spec,
   TPU_CHECK_GE(spec.range.begin, 0);
   TPU_CHECK_GE(spec.range.size(), 0);
 
-  // Rings within one collective phase overlap in time, so each gets an async
-  // span (b/e pair keyed by a fresh id) on a shared track rather than a
-  // nested B/E span. Purely observational: the schedule is unchanged.
-  if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {
-    const trace::TraceRecorder::TrackId track =
-        recorder->Track("system", "rings");
-    std::string name = spec.label.empty() ? "ring" : spec.label;
-    name += kind == RingPass::Kind::kReduceScatter ? " reduce-scatter"
-                                                   : " all-gather";
-    const std::uint64_t async_id = recorder->NextAsyncId();
-    sim::Simulator* simulator = &network.simulator();
-    const SimTime begin = simulator->now();
-    recorder->AsyncBegin(track, std::move(name), async_id, begin);
-    on_done = [recorder, track, async_id, simulator, begin,
-               done = std::move(on_done)]() mutable {
-      const SimTime end = simulator->now();
-      recorder->AsyncEnd(track, async_id, end);
-      if (trace::MetricsRegistry* metrics = trace::CurrentMetrics()) {
-        metrics->Histogram("coll.ring_us").Record(ToMicros(end - begin));
-      }
-      done();
-    };
-  }
+  on_done = internal::WithGroupSpan(
+      network, spec.label, "ring",
+      kind == RingPass::Kind::kReduceScatter ? " reduce-scatter"
+                                             : " all-gather",
+      "coll.ring_us", std::move(on_done));
 
   if (!options.bidirectional || spec.size() <= 2) {
     auto pass = std::make_shared<RingPass>(&network, spec.order, spec.data,
@@ -272,11 +218,7 @@ SimTime RunRings(net::Network& network, const std::vector<RingSpec>& rings,
                  RingPass::Kind kind, const CollectiveOptions& options) {
   sim::Simulator& simulator = network.simulator();
   const SimTime start = simulator.now();
-  auto outer =
-      std::make_shared<sim::Barrier>(static_cast<int>(rings.size()), [] {});
-  for (const RingSpec& spec : rings) {
-    StartRing(network, spec, kind, options, [outer] { outer->Notify(); });
-  }
+  StartRings(network, rings, kind, options, [] {});
   simulator.Run();
   return simulator.now() - start;
 }

@@ -549,19 +549,13 @@ FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
     // and trips any detection deadline.
     SimTime comm_healthy = 0;
     {
-      trace::ScopedTrace no_trace(nullptr);
-      trace::ScopedMetrics no_metrics(nullptr);
-      sim::ScopedEventObserver no_observer(nullptr);
-      telemetry::ScopedTelemetry no_telemetry(nullptr);
+      sim::ScopedUnobserved unobserved;
       comm_healthy =
           plan::EstimatePlanSeconds(topology_, options_.network, {}, lowered);
     }
     pricer.degraded_step = [this, healthy_step, healthy_allreduce, lowered,
                             comm_healthy](const plan::LinkHealthSet& health) {
-      trace::ScopedTrace no_trace(nullptr);
-      trace::ScopedMetrics no_metrics(nullptr);
-      sim::ScopedEventObserver no_observer(nullptr);
-      telemetry::ScopedTelemetry no_telemetry(nullptr);
+      sim::ScopedUnobserved unobserved;
       const SimTime comm =
           plan::EstimatePlanSeconds(topology_, options_.network, health,
                                     lowered);
@@ -572,10 +566,7 @@ FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
     // schedules' predicted ratio scales the healthy all-reduce share.
     pricer.replanned_step = [this, healthy_step, healthy_allreduce,
                              request](const plan::LinkHealthSet& health) {
-      trace::ScopedTrace no_trace(nullptr);
-      trace::ScopedMetrics no_metrics(nullptr);
-      sim::ScopedEventObserver no_observer(nullptr);
-      telemetry::ScopedTelemetry no_telemetry(nullptr);
+      sim::ScopedUnobserved unobserved;
       const SimTime planned_healthy =
           plan::FindBestPlan(topology_, options_.network, request, {},
                              &plan_cache_)
@@ -599,10 +590,7 @@ FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
       const std::pair<int, int> key{rect.size_x, rect.size_y};
       const auto it = shrunk_memo->find(key);
       if (it != shrunk_memo->end()) return it->second;
-      trace::ScopedTrace no_trace(nullptr);
-      trace::ScopedMetrics no_metrics(nullptr);
-      sim::ScopedEventObserver no_observer(nullptr);
-      telemetry::ScopedTelemetry no_telemetry(nullptr);
+      sim::ScopedUnobserved unobserved;
       // The carve keeps Y wrap links only when it spans the full Y extent.
       const bool wrap_y =
           topology_.config().wrap_y && rect.size_y == topology_.size_y();

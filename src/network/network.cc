@@ -58,7 +58,7 @@ RouteHandle Network::Resolve(topo::ChipId from, topo::ChipId to) const {
   for (const RouteHandle& route : routes) {
     if (route.to == to) return route;
   }
-  TPU_CHECK(ScopedLane::Current() == nullptr)
+  TPU_CHECK(sim::CurrentAmbient().lane == nullptr)
       << "route " << from << "->" << to
       << " was not warmed before the stage forked";
 
@@ -79,18 +79,14 @@ void Network::Send(const RouteHandle& route, Bytes bytes,
   TPU_CHECK_GE(bytes, 0);
   // On a fork lane, clock reads, completion scheduling and traffic
   // accounting all go to the lane; otherwise to the members.
-  Lane* lane = ScopedLane::Current();
+  const sim::Ambient& ambient = sim::CurrentAmbient();
+  Lane* lane = ambient.lane;
   sim::Simulator& des = lane != nullptr ? *lane->simulator : *simulator_;
   TrafficStats& traffic = lane != nullptr ? lane->traffic : traffic_;
   ++traffic.messages;
-  trace::TraceRecorder* recorder = trace::CurrentTrace();
-  trace::MetricsRegistry* metrics = trace::CurrentMetrics();
-  sim::EventObserver* observer = sim::CurrentEventObserver();
-  const topo::ChipId from = route.from;
-  const topo::ChipId to = route.to;
   const CachedHop* const hops = hops_.data() + route.first_hop;
 
-  if (recorder == nullptr && metrics == nullptr && observer == nullptr) {
+  if (!ambient.Observed()) {
     // Unobserved: per hop only the serialization time, the FIFO reservation
     // and the traffic count, then one ScheduleAt for the completion — no
     // MessageRecord, no per-hop observation checks. Hops are timed exactly
@@ -118,6 +114,11 @@ void Network::Send(const RouteHandle& route, Bytes bytes,
     }
   }
 
+  trace::TraceRecorder* recorder = ambient.trace;
+  trace::MetricsRegistry* metrics = ambient.metrics;
+  sim::EventObserver* observer = ambient.observer;
+  const topo::ChipId from = route.from;
+  const topo::ChipId to = route.to;
   if (recorder != nullptr) EnsureTraceState(recorder);
   if (route.num_hops == 0) {
     const std::uint64_t done_seq =

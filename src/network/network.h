@@ -115,25 +115,8 @@ struct Lane {
   TrafficStats traffic;
 };
 
-class ScopedLane {
- public:
-  explicit ScopedLane(Lane* lane) : previous_(Slot()) { Slot() = lane; }
-  ~ScopedLane() { Slot() = previous_; }
-
-  ScopedLane(const ScopedLane&) = delete;
-  ScopedLane& operator=(const ScopedLane&) = delete;
-
-  // The thread's lane, or nullptr.
-  static Lane* Current() { return Slot(); }
-
- private:
-  static Lane*& Slot() {
-    thread_local Lane* lane = nullptr;
-    return lane;
-  }
-
-  Lane* previous_;
-};
+// Installs a thread's lane (the `lane` field of its sim::Ambient).
+using ScopedLane = sim::ScopedSlot<&sim::Ambient::lane>;
 
 class Network {
  public:
@@ -144,7 +127,7 @@ class Network {
   // The simulator driving this network: the thread's fork lane's simulator
   // while one is installed (ScopedLane), the constructor's otherwise.
   sim::Simulator& simulator() {
-    Lane* lane = ScopedLane::Current();
+    Lane* lane = sim::CurrentAmbient().lane;
     return lane != nullptr ? *lane->simulator : *simulator_;
   }
   const NetworkConfig& config() const { return config_; }

@@ -6,10 +6,8 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "plan/executor.h"
-#include "sim/pdes.h"
+#include "sim/ambient.h"
 #include "sim/simulator.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
 
 namespace tpu::plan {
 namespace {
@@ -144,14 +142,12 @@ SimTime EvaluatePlanOnSimulator(const topo::MeshTopology& topo,
                                 const LinkHealthSet& health,
                                 const CollectivePlan& plan,
                                 std::int64_t elems) {
-  // Candidate evaluations are throwaway: silence tracing, metrics, and the
-  // causal observer so the search leaves no spans, counters, or event
-  // records behind — only the chosen plan's real execution is observable.
-  // They also stay serial: under an ambient PDES request every candidate
-  // would otherwise fork its stages onto a thread pool of its own.
-  trace::ScopedTrace no_trace(nullptr);
-  trace::ScopedMetrics no_metrics(nullptr);
-  sim::ScopedEventObserver no_observer(nullptr);
+  // Candidate evaluations are throwaway: silence every sink so the search
+  // leaves no spans, counters, samples or event records behind — only the
+  // chosen plan's real execution is observable. They also stay serial:
+  // under an ambient PDES request every candidate would otherwise fork its
+  // stages onto a thread pool of its own.
+  sim::ScopedUnobserved unobserved;
   sim::ScopedPdesConfig serial({});
   sim::Simulator simulator;
   net::Network network(&topo, config, &simulator);

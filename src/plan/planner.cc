@@ -11,6 +11,7 @@
 #include "plan/cost.h"
 #include "plan/generator.h"
 #include "plan/schedule.h"
+#include "sim/ambient.h"
 #include "trace/critical_path.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -125,11 +126,10 @@ trace::RunReport ProbePlan(const topo::MeshTopology& topo,
                            const LinkHealthSet& health,
                            const CollectivePlan& plan, std::int64_t elems,
                            SimTime estimated_seconds) {
-  // Same throwaway discipline as EvaluatePlanOnSimulator — silence the
-  // trace/metrics globals so the probe leaves nothing behind — but with the
-  // causal tracker installed so the re-execution yields a full report.
-  trace::ScopedTrace no_trace(nullptr);
-  trace::ScopedMetrics no_metrics(nullptr);
+  // Same throwaway discipline as EvaluatePlanOnSimulator — silence every
+  // sink so the probe leaves nothing behind — but with the causal tracker
+  // installed so the re-execution yields a full report.
+  sim::ScopedUnobserved unobserved;
   trace::CriticalPathTracker tracker;
   sim::ScopedEventObserver observe(&tracker);
   sim::Simulator simulator;

@@ -8,19 +8,21 @@
 // extraction and slack analysis (trace/critical_path.h implements the one
 // real observer).
 //
-// Like the trace/metrics globals, the observer is a thread-local pointer
-// that is null by default: every instrumentation site is one load and
-// branch, the observer only records (it never schedules), and simulated
-// times are bit-identical with observation on or off. The interface lives in
-// sim (header-only, no topology/trace dependency) so the simulator, network
-// and collectives can all feed it without layering inversions; link ids,
-// pods and type names are carried as plain ints/strings.
+// Like the trace recorder and metrics registry, the observer is a field of
+// the thread's sim::Ambient that is null by default: every instrumentation
+// site is one load and branch, the observer only records (it never
+// schedules), and simulated times are bit-identical with observation on or
+// off. The interface lives in sim (header-only, no topology/trace
+// dependency) so the simulator, network and collectives can all feed it
+// without layering inversions; link ids, pods and type names are carried as
+// plain ints/strings.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/units.h"
+#include "sim/ambient.h"
 
 namespace tpu::sim {
 
@@ -88,34 +90,10 @@ class EventObserver {
   virtual void OnPhase(const char* name) { (void)name; }
 };
 
-namespace internal {
-inline EventObserver*& EventObserverSlot() {
-  thread_local EventObserver* observer = nullptr;
-  return observer;
-}
-}  // namespace internal
-
-// Thread-local current observer; null (the default) disables observation.
+// The thread's observer; null (the default) disables observation. Installed
+// with ScopedEventObserver (sim/ambient.h).
 inline EventObserver* CurrentEventObserver() {
-  return internal::EventObserverSlot();
+  return CurrentAmbient().observer;
 }
-inline void SetCurrentEventObserver(EventObserver* observer) {
-  internal::EventObserverSlot() = observer;
-}
-
-// RAII install/uninstall (restores the previous observer).
-class ScopedEventObserver {
- public:
-  explicit ScopedEventObserver(EventObserver* observer)
-      : previous_(CurrentEventObserver()) {
-    SetCurrentEventObserver(observer);
-  }
-  ~ScopedEventObserver() { SetCurrentEventObserver(previous_); }
-  ScopedEventObserver(const ScopedEventObserver&) = delete;
-  ScopedEventObserver& operator=(const ScopedEventObserver&) = delete;
-
- private:
-  EventObserver* previous_;
-};
 
 }  // namespace tpu::sim

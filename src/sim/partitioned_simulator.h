@@ -1,5 +1,6 @@
 // Former home of the PDES configuration, kept as an include name for
-// perfbench/src/summation.cc. New code includes sim/pdes.h.
+// perfbench/src/summation.cc. New code includes sim/ambient.h (the installer)
+// or sim/pdes.h (the value types).
 #pragma once
 
-#include "sim/pdes.h"
+#include "sim/ambient.h"

@@ -29,8 +29,8 @@ struct PdesStats {
   std::vector<std::uint64_t> partition_events_processed;
 };
 
-// Installed with ScopedPdesConfig the same way trace / metrics / telemetry
-// sessions are.
+// Installed with ScopedPdesConfig as the `pdes` field of the thread's
+// sim::Ambient (sim/ambient.h).
 struct PdesConfig {
   bool enable = false;
   // Worker threads for forked stages. 1 leaves the serial path untouched;
@@ -39,27 +39,6 @@ struct PdesConfig {
   // Optional out-param: filled after an engaged run (left untouched when
   // the run stayed serial, except `engaged`).
   PdesStats* stats = nullptr;
-};
-
-inline PdesConfig& PdesConfigSlot() {
-  thread_local PdesConfig config;
-  return config;
-}
-inline const PdesConfig& CurrentPdesConfig() { return PdesConfigSlot(); }
-
-class ScopedPdesConfig {
- public:
-  explicit ScopedPdesConfig(const PdesConfig& config)
-      : previous_(PdesConfigSlot()) {
-    PdesConfigSlot() = config;
-  }
-  ~ScopedPdesConfig() { PdesConfigSlot() = previous_; }
-
-  ScopedPdesConfig(const ScopedPdesConfig&) = delete;
-  ScopedPdesConfig& operator=(const ScopedPdesConfig&) = delete;
-
- private:
-  PdesConfig previous_;
 };
 
 }  // namespace tpu::sim

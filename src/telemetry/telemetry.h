@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "sim/ambient.h"
 
 namespace tpu::trace {
 class MetricsRegistry;
@@ -293,23 +294,11 @@ class TelemetrySession {
   std::map<std::string, std::int64_t> firing_counts_;
 };
 
-// Process-global (thread-local) session; null — the default — disables all
+// The thread's session (sim::Ambient); null — the default — disables all
 // telemetry instrumentation. Same contract as trace::CurrentTrace().
-TelemetrySession* CurrentTelemetry();
-void SetCurrentTelemetry(TelemetrySession* session);
-
-class ScopedTelemetry {
- public:
-  explicit ScopedTelemetry(TelemetrySession* session)
-      : previous_(CurrentTelemetry()) {
-    SetCurrentTelemetry(session);
-  }
-  ~ScopedTelemetry() { SetCurrentTelemetry(previous_); }
-  ScopedTelemetry(const ScopedTelemetry&) = delete;
-  ScopedTelemetry& operator=(const ScopedTelemetry&) = delete;
-
- private:
-  TelemetrySession* previous_;
-};
+inline TelemetrySession* CurrentTelemetry() {
+  return sim::CurrentAmbient().telemetry;
+}
+using ScopedTelemetry = sim::ScopedSlot<&sim::Ambient::telemetry>;
 
 }  // namespace tpu::telemetry

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "common/units.h"
+#include "sim/ambient.h"
 
 namespace tpu::sim {
 class Simulator;
@@ -84,7 +85,7 @@ class MetricsRegistry {
   }
 
   // Drops every metric. Call between sweep repetitions when one registry is
-  // reused (e.g. a thread_local registry surviving across sweep points) so
+  // reused (e.g. a per-thread registry surviving across sweep points) so
   // samples from one repetition cannot leak into the next one's dump.
   void Reset() {
     counters_.clear();
@@ -105,23 +106,12 @@ class MetricsRegistry {
   std::map<std::string, MetricHistogram> histograms_;
 };
 
-// Process-global registry; null (default) disables metric collection.
-MetricsRegistry* CurrentMetrics();
-void SetCurrentMetrics(MetricsRegistry* metrics);
-
-class ScopedMetrics {
- public:
-  explicit ScopedMetrics(MetricsRegistry* metrics)
-      : previous_(CurrentMetrics()) {
-    SetCurrentMetrics(metrics);
-  }
-  ~ScopedMetrics() { SetCurrentMetrics(previous_); }
-  ScopedMetrics(const ScopedMetrics&) = delete;
-  ScopedMetrics& operator=(const ScopedMetrics&) = delete;
-
- private:
-  MetricsRegistry* previous_;
-};
+// The thread's registry (sim::Ambient); null (default) disables metric
+// collection. ScopedMetrics installs one and restores the previous.
+inline MetricsRegistry* CurrentMetrics() {
+  return sim::CurrentAmbient().metrics;
+}
+using ScopedMetrics = sim::ScopedSlot<&sim::Ambient::metrics>;
 
 // Accumulates one simulator's lifetime statistics into the registry under
 // `prefix`: events processed/scheduled, peak queue depth, callback storage

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "sim/ambient.h"
 
 namespace tpu::trace {
 
@@ -139,26 +140,12 @@ class TraceRecorder {
   SimTime last_timestamp_ = 0;
 };
 
-// Process-global recorder. Null (the default) disables all instrumentation;
-// sites must check before recording. Instrumented code caches TrackIds keyed
-// on the recorder pointer, so swap recorders rather than mutating one.
-TraceRecorder* CurrentTrace();
-void SetCurrentTrace(TraceRecorder* recorder);
-
-// RAII install/uninstall (restores the previous recorder).
-class ScopedTrace {
- public:
-  explicit ScopedTrace(TraceRecorder* recorder)
-      : previous_(CurrentTrace()) {
-    SetCurrentTrace(recorder);
-  }
-  ~ScopedTrace() { SetCurrentTrace(previous_); }
-  ScopedTrace(const ScopedTrace&) = delete;
-  ScopedTrace& operator=(const ScopedTrace&) = delete;
-
- private:
-  TraceRecorder* previous_;
-};
+// The thread's recorder (sim::Ambient). Null (the default) disables all
+// instrumentation; sites must check before recording. Instrumented code
+// caches TrackIds keyed on the recorder pointer, so swap recorders rather
+// than mutating one. ScopedTrace installs one and restores the previous.
+inline TraceRecorder* CurrentTrace() { return sim::CurrentAmbient().trace; }
+using ScopedTrace = sim::ScopedSlot<&sim::Ambient::trace>;
 
 // RAII time-offset change on a recorder (no-op when recorder is null).
 class ScopedTimeOffset {

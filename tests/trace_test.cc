@@ -1,9 +1,11 @@
 // Tests for the tracing & metrics layer: span bookkeeping, deterministic
 // JSON export, zero-overhead-when-off guarantees, histogram percentile edge
-// cases, simulator counters, and the step profiler.
+// cases, simulator counters, the step profiler, and the ambient run context.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -15,8 +17,10 @@
 #include "core/sweep.h"
 #include "fault/fault_injector.h"
 #include "network/network.h"
+#include "sim/ambient.h"
 #include "sim/event_observer.h"
 #include "sim/simulator.h"
+#include "telemetry/telemetry.h"
 #include "topology/topology.h"
 #include "trace/metrics.h"
 #include "trace/step_profiler.h"
@@ -110,15 +114,24 @@ coll::GradientSummationResult RunSmallSummation() {
   return coll::TwoDGradientSummation(network, config);
 }
 
-// Counts what it is shown and records nothing; installing it switches
+// Counts what it is shown and records nothing else; installing it switches
 // net::Network::Send to its observed branch, as the critical-path tracker
 // does.
 class CountingObserver : public sim::EventObserver {
  public:
-  void OnSchedule(std::uint64_t, std::int64_t, SimTime, SimTime) override {}
-  void OnFire(std::uint64_t, SimTime) override {}
+  void OnSchedule(std::uint64_t, std::int64_t, SimTime, SimTime) override {
+    ++schedules;
+  }
+  void OnFire(std::uint64_t, SimTime) override { ++fires; }
   void OnMessage(std::uint64_t, sim::MessageRecord) override { ++messages; }
 
+  std::string Counts() const {
+    return std::to_string(schedules) + "/" + std::to_string(fires) + "/" +
+           std::to_string(messages);
+  }
+
+  int schedules = 0;
+  int fires = 0;
   int messages = 0;
 };
 
@@ -481,25 +494,11 @@ TEST(MetricsRegistry, ResetClearsAllInstrumentsForReuse) {
   EXPECT_EQ(emptied.str(), never_used.str());
 }
 
-TEST(MetricsRegistry, RegistriesAreThreadLocal) {
-  trace::MetricsRegistry registry;
-  trace::ScopedMetrics install(&registry);
-  ASSERT_EQ(trace::CurrentMetrics(), &registry);
-  // The installed registry must be invisible from a worker thread: the
-  // globals are thread_local precisely so concurrent sweeps cannot race on
-  // one registry.
-  trace::MetricsRegistry* seen_in_worker = &registry;
-  std::thread worker([&] { seen_in_worker = trace::CurrentMetrics(); });
-  worker.join();
-  EXPECT_EQ(seen_in_worker, nullptr);
-  EXPECT_EQ(trace::CurrentMetrics(), &registry);
-}
-
+// An observed sweep runs serially (worker threads would start from a
+// default, unobserved sim::Ambient), so for each sink alone the CSV must be
+// byte-identical to the unobserved run and what the sink recorded must not
+// depend on the requested thread count.
 TEST(MetricsRegistry, MeteredSweepMatchesPlainSerialSweepByteForByte) {
-  // With a registry installed RunScalingSweep falls back to serial (worker
-  // threads would see a null thread-local registry and simulate silently).
-  // The observable sweep output must be byte-identical to an unmetered run
-  // at any requested thread count.
   const auto run = [](int threads) {
     core::SweepConfig config;
     config.benchmark = models::Benchmark::kResNet50;
@@ -511,16 +510,173 @@ TEST(MetricsRegistry, MeteredSweepMatchesPlainSerialSweepByteForByte) {
     return csv.str();
   };
   const std::string plain = run(1);
-  trace::MetricsRegistry registry;
-  std::string metered;
-  {
-    trace::ScopedMetrics install(&registry);
-    metered = run(4);  // forced serial by the installed registry
-  }
-  EXPECT_EQ(metered, plain);
-  EXPECT_FALSE(registry.empty());
-  // And a genuinely parallel unmetered run agrees too.
+  // A genuinely parallel unobserved run agrees too.
   EXPECT_EQ(run(4), plain);
+
+  enum Sink { kTrace, kMetrics, kTelemetry, kObserver };
+  for (const Sink sink : {kTrace, kMetrics, kTelemetry, kObserver}) {
+    SCOPED_TRACE(testing::Message() << "sink " << sink);
+    // Runs the sweep with only `sink` installed; returns what it recorded.
+    const auto observed = [&](int threads) {
+      trace::TraceRecorder recorder;
+      trace::MetricsRegistry metrics;
+      telemetry::TelemetrySession session;
+      CountingObserver observer;
+      trace::ScopedTrace scoped_trace(sink == kTrace ? &recorder : nullptr);
+      trace::ScopedMetrics scoped_metrics(sink == kMetrics ? &metrics
+                                                           : nullptr);
+      telemetry::ScopedTelemetry scoped_telemetry(
+          sink == kTelemetry ? &session : nullptr);
+      sim::ScopedEventObserver scoped_observer(
+          sink == kObserver ? &observer : nullptr);
+      EXPECT_EQ(run(threads), plain);
+      switch (sink) {
+        case kTrace:
+          EXPECT_GT(recorder.event_count(), 0u);
+          return recorder.ToJson();
+        case kMetrics:
+          EXPECT_FALSE(metrics.empty());
+          return metrics.ToJson();
+        case kTelemetry:
+          return session.ToJson();
+        case kObserver:
+          EXPECT_GT(observer.messages, 0);
+          return observer.Counts();
+      }
+      return std::string();
+    };
+    EXPECT_EQ(observed(4), observed(1));
+  }
+}
+
+// --- Ambient run context -------------------------------------------------
+
+// One row per sim::Ambient field: installs one of two distinct values in a
+// scope the returned handle owns, and reports which value the calling
+// thread's field holds.
+struct AmbientField {
+  static constexpr int kDefault = -1;
+  const char* name;
+  bool sink;  // one of the four fields Observed() and ScopedUnobserved see
+  std::function<std::shared_ptr<void>(int)> install;
+  std::function<int()> holds;  // 0, 1, kDefault, or -2 for anything else
+};
+
+template <typename T>
+bool SameValue(const T& a, const T& b) {
+  return a == b;
+}
+bool SameValue(const sim::PdesConfig& a, const sim::PdesConfig& b) {
+  return a.enable == b.enable && a.threads == b.threads && a.stats == b.stats;
+}
+
+template <auto Field>
+AmbientField MakeAmbientField(const char* name, bool sink,
+                              typename sim::ScopedSlot<Field>::Value first,
+                              typename sim::ScopedSlot<Field>::Value second) {
+  using Value = typename sim::ScopedSlot<Field>::Value;
+  AmbientField field{name, sink, {}, {}};
+  field.install = [first, second](int which) -> std::shared_ptr<void> {
+    return std::make_shared<sim::ScopedSlot<Field>>(which == 0 ? first
+                                                               : second);
+  };
+  field.holds = [first, second] {
+    const Value& now = sim::CurrentAmbient().*Field;
+    if (SameValue(now, first)) return 0;
+    if (SameValue(now, second)) return 1;
+    if (SameValue(now, Value{})) return AmbientField::kDefault;
+    return -2;
+  };
+  return field;
+}
+
+// The context contract, field by field: nested installs restore in LIFO
+// order, exactly the four sinks make a run Observed(), ScopedUnobserved nulls
+// exactly those four and restores them while leaving the PDES request and
+// the lane alone, and a fresh thread starts from the default context.
+TEST(Ambient, EveryFieldNestsSilencesAndStaysOnItsThread) {
+  trace::TraceRecorder recorders[2];
+  trace::MetricsRegistry registries[2];
+  telemetry::TelemetrySession sessions[2];
+  CountingObserver observers[2];
+  sim::PdesStats stats;
+  sim::Simulator simulators[2];
+  net::Lane lanes[2] = {net::Lane(&simulators[0]), net::Lane(&simulators[1])};
+  const std::vector<AmbientField> fields = {
+      MakeAmbientField<&sim::Ambient::trace>("trace", true, &recorders[0],
+                                             &recorders[1]),
+      MakeAmbientField<&sim::Ambient::metrics>("metrics", true,
+                                               &registries[0], &registries[1]),
+      MakeAmbientField<&sim::Ambient::telemetry>("telemetry", true,
+                                                 &sessions[0], &sessions[1]),
+      MakeAmbientField<&sim::Ambient::observer>("observer", true,
+                                                &observers[0], &observers[1]),
+      MakeAmbientField<&sim::Ambient::pdes>("pdes", false, {true, 2, nullptr},
+                                            {true, 4, &stats}),
+      MakeAmbientField<&sim::Ambient::lane>("lane", false, &lanes[0],
+                                            &lanes[1]),
+  };
+  const auto observed = [] { return sim::CurrentAmbient().Observed(); };
+
+  for (const AmbientField& field : fields) {
+    SCOPED_TRACE(field.name);
+    EXPECT_EQ(field.holds(), AmbientField::kDefault);
+    {
+      const auto outer = field.install(0);
+      EXPECT_EQ(field.holds(), 0);
+      EXPECT_EQ(observed(), field.sink);
+      {
+        const auto inner = field.install(1);
+        EXPECT_EQ(field.holds(), 1);
+      }
+      EXPECT_EQ(field.holds(), 0);
+    }
+    EXPECT_EQ(field.holds(), AmbientField::kDefault);
+    EXPECT_FALSE(observed());
+  }
+
+  std::vector<std::shared_ptr<void>> scopes;
+  for (const AmbientField& field : fields) scopes.push_back(field.install(0));
+  EXPECT_TRUE(observed());
+  {
+    sim::ScopedUnobserved unobserved;
+    EXPECT_FALSE(observed());
+    for (const AmbientField& field : fields) {
+      SCOPED_TRACE(field.name);
+      EXPECT_EQ(field.holds(), field.sink ? AmbientField::kDefault : 0);
+    }
+  }
+  std::vector<int> on_worker;
+  bool worker_observed = true;
+  std::thread worker([&] {
+    for (const AmbientField& field : fields) {
+      on_worker.push_back(field.holds());
+    }
+    worker_observed = observed();
+  });
+  worker.join();
+  EXPECT_FALSE(worker_observed);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    SCOPED_TRACE(fields[i].name);
+    EXPECT_EQ(fields[i].holds(), 0);
+    EXPECT_EQ(on_worker[i], AmbientField::kDefault);
+  }
+  while (!scopes.empty()) scopes.pop_back();
+  EXPECT_FALSE(observed());
+}
+
+TEST(MetricsRegistry, RegistriesAreThreadLocal) {
+  trace::MetricsRegistry registry;
+  trace::ScopedMetrics install(&registry);
+  ASSERT_EQ(trace::CurrentMetrics(), &registry);
+  // The installed registry must be invisible from a worker thread: the
+  // run context is thread_local precisely so concurrent sweeps cannot race
+  // on one registry.
+  trace::MetricsRegistry* seen_in_worker = &registry;
+  std::thread worker([&] { seen_in_worker = trace::CurrentMetrics(); });
+  worker.join();
+  EXPECT_EQ(seen_in_worker, nullptr);
+  EXPECT_EQ(trace::CurrentMetrics(), &registry);
 }
 
 TEST(MetricsRegistry, DumpsAreDeterministicAndNamed) {
