@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "collectives/halving_doubling.h"
 #include "common/check.h"
 #include "common/math_util.h"
 #include "common/thread_pool.h"
@@ -109,49 +108,9 @@ TwoDRings BuildTwoDRings(const topo::MeshTopology& topo, const Range& range,
   return rings;
 }
 
-// Starts one stage's collective over `specs`; `on_done` fires when every
-// group completes.
-void StartStage(net::Network& network, const SummationStage& stage,
-                std::vector<RingSpec> specs, const CollectiveOptions& options,
-                std::function<void()> on_done) {
-  const bool rs = stage.op == SummationStage::Op::kReduceScatter;
-  if (stage.halving_doubling) {
-    rs ? StartHdReduceScatter(network, std::move(specs), options,
-                              std::move(on_done))
-       : StartHdAllGather(network, std::move(specs), options,
-                          std::move(on_done));
-  } else {
-    rs ? StartReduceScatter(network, std::move(specs), options,
-                            std::move(on_done))
-       : StartAllGather(network, std::move(specs), options,
-                        std::move(on_done));
-  }
-}
-
-// Calls fn(from, to) for every chip pair one group of a stage sends between:
-// ring neighbours in one or both directions (ring.cc's RingPass), or
-// halving-doubling partners at every power-of-two rank distance
-// (halving_doubling.cc's HdPass).
-template <typename Fn>
-void ForEachSendPair(const SummationStage& stage, const RingSpec& spec,
-                     const CollectiveOptions& options, Fn&& fn) {
-  const int n = spec.size();
-  if (n <= 1 || spec.range.size() == 0) return;
-  for (int rank = 0; rank < n; ++rank) {
-    if (stage.halving_doubling) {
-      for (int distance = 1; distance < n; distance <<= 1) {
-        fn(spec.order[rank], spec.order[rank ^ distance]);
-      }
-      continue;
-    }
-    const topo::ChipId next = spec.order[(rank + 1) % n];
-    fn(spec.order[rank], next);
-    if (options.bidirectional && n > 2) fn(next, spec.order[rank]);
-  }
-}
-
 // Splits a stage's groups into link-disjoint components: union-find over the
-// links their messages route across. Walking the routes warms every route
+// links of every route their passes send over (StepGeometry::ForEachRoute,
+// the very routes each pass resolves at its start), which warms every route
 // cache entry the stage will read. Components come out in the order of
 // their first group, each holding its groups in stage order. Y rings on
 // different columns, or X rings on different rows, share no link; strided X
@@ -169,18 +128,20 @@ std::vector<std::vector<RingSpec>> LinkDisjointComponents(
   };
   std::vector<int> link_owner(network.topology().links().size(), -1);
   for (int s = 0; s < n; ++s) {
-    ForEachSendPair(stage, specs[s], options,
-                    [&](topo::ChipId from, topo::ChipId to) {
-      if (from == to) return;
-      network.ForEachRouteLink(from, to, [&](topo::LinkId link) {
-        int& owner = link_owner[link];
-        if (owner < 0) {
-          owner = s;
-        } else {
-          parent[find(owner)] = find(s);
-        }
+    const RingSpec& group = specs[s];
+    for (const StepGeometry& pass :
+         PassesOf(stage.algorithm, stage.op, group, options)) {
+      pass.ForEachRoute(group.order, [&](topo::ChipId from, topo::ChipId to) {
+        network.ForEachRouteLink(from, to, [&](topo::LinkId link) {
+          int& owner = link_owner[link];
+          if (owner < 0) {
+            owner = s;
+          } else {
+            parent[find(owner)] = find(s);
+          }
+        });
       });
-    });
+    }
   }
   std::vector<int> component_of(n, -1);
   std::vector<std::vector<RingSpec>> components;
@@ -231,8 +192,9 @@ SimTime ForkStage(ThreadPool& pool, net::Network& network,
       {
         net::ScopedLane scope(&lane);
         simulator.ExecuteAt(start, [&] {
-          StartStage(network, stage, std::move(components[c]), options,
-                     [&out, &simulator] { out.end = simulator.now(); });
+          StartCollective(network, stage.algorithm, stage.op, components[c],
+                          options,
+                          [&out, &simulator] { out.end = simulator.now(); });
         });
         simulator.Run();
       }
@@ -257,44 +219,6 @@ SimTime ForkStage(ThreadPool& pool, net::Network& network,
 }
 
 }  // namespace
-
-// All rings run concurrently; a ring pass is (n-1) barrier-synchronized
-// steps, each as long as its slowest hop, so the phase estimate is max over
-// rings of (n-1) * slowest-hop time. Uses EstimateArrival, which
-// deliberately ignores injected degradation — the deadline compares sick
-// reality against healthy expectation. Folded (mesh-dimension) rings put two
-// ring edges on each physical link; the resulting ~2x contention is not
-// modeled here, which is why deadline multiples below ~2 are prone to false
-// positives on X rings.
-SimTime ExpectedRingPhaseSeconds(net::Network& network,
-                                 const std::vector<RingSpec>& rings,
-                                 const CollectiveOptions& options) {
-  const SimTime now = network.simulator().now();
-  SimTime worst = 0;
-  for (const RingSpec& spec : rings) {
-    const int n = spec.size();
-    if (n <= 1 || spec.range.size() == 0) continue;
-    // Per-direction payload split mirrors the bidirectional schedule.
-    std::int64_t dir_elems[2] = {spec.range.size(), 0};
-    if (options.bidirectional && n > 2) {
-      dir_elems[0] = spec.range.size() / 2;
-      dir_elems[1] = spec.range.size() - dir_elems[0];
-    }
-    for (const std::int64_t elems : dir_elems) {
-      if (elems == 0) continue;
-      const Bytes bytes = CeilDiv(elems, n) * options.wire_bytes_per_elem();
-      SimTime slowest_hop = 0;
-      for (int rank = 0; rank < n; ++rank) {
-        const topo::ChipId from = spec.order[rank];
-        const topo::ChipId to = spec.order[(rank + 1) % n];
-        slowest_hop = std::max(slowest_hop,
-                               network.EstimateArrival(from, to, bytes) - now);
-      }
-      worst = std::max(worst, (n - 1) * slowest_hop);
-    }
-  }
-  return worst;
-}
 
 std::vector<topo::ChipId> SnakeRingOverMesh(const topo::MeshTopology& topo) {
   std::vector<topo::ChipId> ring;
@@ -366,10 +290,8 @@ SummationRun RunSummationStages(
     const SummationStage& stage = stages[i];
     run.stage_start[i] = simulator.now();
     if (monitored) {
-      expected[i] =
-          stage.halving_doubling
-              ? ExpectedHdPhaseSeconds(network, *stage.specs, options)
-              : ExpectedRingPhaseSeconds(network, *stage.specs, options);
+      expected[i] = ExpectedPhaseSeconds(network, stage.algorithm, stage.op,
+                                         *stage.specs, options);
     }
     if (observer != nullptr) observer->OnPhase(stage.name);
     std::function<void()> next = [&, i] {
@@ -411,7 +333,8 @@ SummationRun RunSummationStages(
         return;
       }
     }
-    StartStage(network, stage, *stage.specs, options, std::move(next));
+    StartCollective(network, stage.algorithm, stage.op, *stage.specs, options,
+                    std::move(next));
   };
   launch(0);
   simulator.Run();
@@ -470,12 +393,14 @@ GradientSummationResult TwoDGradientSummation(
   using Slots = SummationPhaseSeconds;
   SummationSchedule schedule;
   schedule.stages = {
-      {Op::kReduceScatter, false, "Y-reduce-scatter", &Slots::y_reduce_scatter,
-       rings.y},
-      {Op::kReduceScatter, false, "X-reduce-scatter", &Slots::x_reduce_scatter,
+      {Op::kReduceScatter, Algorithm::kRing, "Y-reduce-scatter",
+       &Slots::y_reduce_scatter, rings.y},
+      {Op::kReduceScatter, Algorithm::kRing, "X-reduce-scatter",
+       &Slots::x_reduce_scatter, rings.x},
+      {Op::kAllGather, Algorithm::kRing, "X-all-gather", &Slots::x_all_gather,
        rings.x},
-      {Op::kAllGather, false, "X-all-gather", &Slots::x_all_gather, rings.x},
-      {Op::kAllGather, false, "Y-all-gather", &Slots::y_all_gather, rings.y},
+      {Op::kAllGather, Algorithm::kRing, "Y-all-gather", &Slots::y_all_gather,
+       rings.y},
   };
   schedule.update_after = 1;
   schedule.owned_elems = std::move(rings.owned_elems);
@@ -548,10 +473,13 @@ SimTime PipelinedTwoDGradientSummation(
   if (monitored) {
     const TwoDRings estimate =
         BuildTwoDRings(topo, Range{0, config.elems}, config, {}, "");
-    const SimTime y_phase =
-        ExpectedRingPhaseSeconds(network, *estimate.y, config.collective);
-    const SimTime x_phase =
-        ExpectedRingPhaseSeconds(network, *estimate.x, config.collective);
+    const auto phase = [&](const std::vector<RingSpec>& rings) {
+      return ExpectedPhaseSeconds(network, Algorithm::kRing,
+                                  CollectiveOp::kReduceScatter, rings,
+                                  config.collective);
+    };
+    const SimTime y_phase = phase(*estimate.y);
+    const SimTime x_phase = phase(*estimate.x);
     report->expected = 2 * y_phase + 2 * x_phase;
     report->deadline = config.deadline.DeadlineFor(report->expected);
   }
@@ -576,11 +504,12 @@ SimTime PipelinedTwoDGradientSummation(
     net::Network* net_ptr = &network;
     const auto options = config.collective;
     auto after_xag = [net_ptr, y_rings = rings.y, options, all_done] {
-      StartAllGather(*net_ptr, *y_rings, options,
-                     [all_done] { all_done->Notify(); });
+      StartCollective(*net_ptr, Algorithm::kRing, CollectiveOp::kAllGather,
+                      *y_rings, options, [all_done] { all_done->Notify(); });
     };
     auto after_update = [net_ptr, x_rings = rings.x, options, after_xag] {
-      StartAllGather(*net_ptr, *x_rings, options, after_xag);
+      StartCollective(*net_ptr, Algorithm::kRing, CollectiveOp::kAllGather,
+                      *x_rings, options, after_xag);
     };
     auto after_xrs = [net_ptr, update_hook = config.shard_update_seconds,
                       owned_elems = rings.owned_elems, after_update]() {
@@ -596,11 +525,13 @@ SimTime PipelinedTwoDGradientSummation(
         sim_ref.Schedule(update_hook(owned), [barrier] { barrier->Notify(); });
       }
     };
-    StartReduceScatter(network, *rings.y, options,
-                       [net_ptr, x_rings = rings.x, options, after_xrs] {
-                         StartReduceScatter(*net_ptr, *x_rings, options,
-                                            after_xrs);
-                       });
+    StartCollective(network, Algorithm::kRing, CollectiveOp::kReduceScatter,
+                    *rings.y, options,
+                    [net_ptr, x_rings = rings.x, options, after_xrs] {
+                      StartCollective(*net_ptr, Algorithm::kRing,
+                                      CollectiveOp::kReduceScatter, *x_rings,
+                                      options, after_xrs);
+                    });
   }
   simulator.Run();
   TPU_CHECK_GE(completed_at, 0.0);

@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "collectives/lockstep.h"
 #include "collectives/ring.h"
 #include "network/network.h"
 #include "topology/topology.h"
@@ -112,10 +113,10 @@ struct GradientSummationResult {
 // groups; the sharded weight update runs between stages[update_after] and
 // the stage after it.
 struct SummationStage {
-  enum class Op { kReduceScatter, kAllGather };
+  using Op = CollectiveOp;
 
   Op op = Op::kReduceScatter;
-  bool halving_doubling = false;  // recursive halving-doubling, else rings
+  Algorithm algorithm = Algorithm::kRing;
   // Static phase label ("Y-reduce-scatter", "X-all-gather", ...): the causal
   // observer's phase and the deadline-monitoring name.
   const char* name = "";
@@ -202,15 +203,5 @@ SimTime OneDGradientSummation(net::Network& network,
 // Row-major boustrophedon ring visiting every chip; consecutive ring
 // positions are physical neighbors.
 std::vector<topo::ChipId> SnakeRingOverMesh(const topo::MeshTopology& topo);
-
-// Healthy-network estimate of one ring-collective phase: max over rings of
-// (n-1) barrier-synchronized steps, each as long as its slowest hop (via
-// Network::EstimateArrival, which deliberately ignores injected
-// degradation). This is the expectation phase-deadline detection compares
-// reality against; the collective planner reuses it for plan execution
-// deadlines.
-SimTime ExpectedRingPhaseSeconds(net::Network& network,
-                                 const std::vector<RingSpec>& rings,
-                                 const CollectiveOptions& options);
 
 }  // namespace tpu::coll

@@ -11,12 +11,12 @@
 // enumerates both and lets the cost model decide.
 //
 // Like the ring collectives these are functional when participant buffers
-// are supplied and timing-only otherwise. Ownership after the halving phase
-// is the *natural* chunk layout: rank r owns chunk r of the range
-// (HdOwnedAfterReduceScatter), unlike the ring layout which is rotated.
+// are supplied and timing-only otherwise, and each group runs one lockstep
+// pass (lockstep.h). Ownership after the halving phase is the *natural*
+// chunk layout: rank r owns chunk r of the range (HdOwnedAfterReduceScatter),
+// unlike the ring layout which is rotated.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "collectives/ring.h"
@@ -29,34 +29,16 @@ namespace tpu::coll {
 // of `group_size` participants (group_size must be a power of two).
 Range HdOwnedAfterReduceScatter(const Range& range, int group_size, int rank);
 
-// Non-blocking recursive-halving reduce-scatter / recursive-doubling
-// all-gather over every group in `groups` concurrently. Each RingSpec is
-// reused as a participant list (`order`, `data`, `range`); its
-// `bidirectional` option is ignored (exchanges are already symmetric
-// full-duplex pairs). Group sizes must be powers of two. `on_done` fires
-// when every group completes; the caller runs the simulator.
-void StartHdReduceScatter(net::Network& network, std::vector<RingSpec> groups,
-                          const CollectiveOptions& options,
-                          std::function<void()> on_done);
-void StartHdAllGather(net::Network& network, std::vector<RingSpec> groups,
-                      const CollectiveOptions& options,
-                      std::function<void()> on_done);
-
-// Blocking forms: run the simulator to completion and return elapsed
-// simulated time.
+// Blocking recursive-halving reduce-scatter / recursive-doubling all-gather
+// over every group in `groups` concurrently (StartCollective with
+// Algorithm::kHalvingDoubling is the non-blocking form): run the simulator
+// to completion and return elapsed simulated time. Each RingSpec is reused
+// as a participant list (`order`, `data`, `range`); its `bidirectional`
+// option is ignored (exchanges are already symmetric full-duplex pairs).
+// Group sizes must be powers of two.
 SimTime HdReduceScatter(net::Network& network, std::vector<RingSpec> groups,
                         const CollectiveOptions& options);
 SimTime HdAllGather(net::Network& network, std::vector<RingSpec> groups,
                     const CollectiveOptions& options);
-
-// Healthy-network estimate of one halving/doubling phase: max over groups of
-// the sum over rounds of the slowest pairwise exchange, via
-// Network::EstimateArrival (which ignores injected degradation — the
-// expectation phase-deadline detection compares reality against). The
-// halving and doubling directions are time-symmetric, so one estimate
-// serves both.
-SimTime ExpectedHdPhaseSeconds(net::Network& network,
-                               const std::vector<RingSpec>& groups,
-                               const CollectiveOptions& options);
 
 }  // namespace tpu::coll

@@ -10,10 +10,11 @@
 // Algorithms follow Section 3.3: bidirectional rings (payload split across
 // the two ring directions, which are independent full-duplex links), ring
 // reduce-scatter and ring all-gather, optional bfloat16 wire compression.
+// Every ring pass is a lockstep pass (lockstep.h); StartCollective is the
+// non-blocking form of the calls below.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -69,17 +70,6 @@ Range ChunkOfRange(const Range& range, int parts, int index);
 std::vector<Range> OwnedAfterReduceScatter(const Range& range, int ring_size,
                                            int rank,
                                            const CollectiveOptions& options);
-
-// Non-blocking forms: schedule the collective on the network's simulator
-// and fire `on_done` when every ring completes; the caller decides when to
-// run the simulator. These are the building blocks of pipelined schedules
-// that overlap phases of different payload chunks.
-void StartReduceScatter(net::Network& network, std::vector<RingSpec> rings,
-                        const CollectiveOptions& options,
-                        std::function<void()> on_done);
-void StartAllGather(net::Network& network, std::vector<RingSpec> rings,
-                    const CollectiveOptions& options,
-                    std::function<void()> on_done);
 
 // Runs ring reduce-scatter on all rings concurrently. On return, simulated
 // time has advanced past the completion of every ring; the returned value is

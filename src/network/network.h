@@ -148,9 +148,10 @@ class Network {
   //
   // Read-only fork contract: while a forked stage's lanes run (ScopedLane),
   // the cache is only read. The forking thread warms every route the
-  // stage's groups use (ForEachRouteLink) before the lanes start and parks
-  // until they join; a lane resolving a cold route fails loudly instead of
-  // racing its sibling lanes on the cache. network_test's NetworkPdes cases
+  // stage's passes resolve (StepGeometry::ForEachRoute, then
+  // ForEachRouteLink) before the lanes start and parks until they join; a
+  // lane resolving a cold route fails loudly instead of racing its sibling
+  // lanes on the cache. network_test's NetworkPdes cases
   // hold the fork contract under TSan, and RouteHandleSurvivesCacheGrowth the
   // stability contract under ASan.
   RouteHandle Resolve(topo::ChipId from, topo::ChipId to) const;

@@ -17,8 +17,9 @@ LoweredStage MakeStage(LoweredStage::Op op, const PlanPhase& phase,
   const bool rs = op == LoweredStage::Op::kReduceScatter;
   LoweredStage stage;
   stage.op = op;
-  stage.halving_doubling =
-      phase.algorithm == PhaseAlgorithm::kHalvingDoubling;
+  stage.algorithm = phase.algorithm == PhaseAlgorithm::kHalvingDoubling
+                        ? coll::Algorithm::kHalvingDoubling
+                        : coll::Algorithm::kRing;
   stage.specs = std::move(specs);
   switch (phase.dim) {
     case PlanDim::kX:

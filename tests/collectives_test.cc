@@ -9,6 +9,7 @@
 
 #include "collectives/all_reduce.h"
 #include "collectives/halving_doubling.h"
+#include "collectives/lockstep.h"
 #include "collectives/ring.h"
 #include "collectives/xfer.h"
 #include "common/rng.h"
@@ -47,6 +48,7 @@ class Harness {
   }
 
   topo::MeshTopology& topo() { return topo_; }
+  sim::Simulator& simulator() { return simulator_; }
   net::Network& network() { return network_; }
   std::int64_t elems() const { return elems_; }
   std::vector<float>& buffer(topo::ChipId chip) { return buffers_[chip]; }
@@ -57,6 +59,19 @@ class Harness {
     ptrs.reserve(buffers_.size());
     for (auto& buffer : buffers_) ptrs.push_back(buffer.data());
     return ptrs;
+  }
+
+  // Refills every buffer with uniform values in [-1, 1], which bf16 wire
+  // quantization rounds (the integers above it leaves exact).
+  void FillUniform(std::uint64_t seed) {
+    Rng rng(seed);
+    expected_sum_.assign(elems_, 0.0f);
+    for (auto& buffer : buffers_) {
+      for (std::int64_t i = 0; i < elems_; ++i) {
+        buffer[i] = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+        expected_sum_[i] += buffer[i];
+      }
+    }
   }
 
   RingSpec SpecFor(const std::vector<topo::ChipId>& order) {
@@ -118,52 +133,103 @@ TEST(OwnedAfterReduceScatter, TinyPayloadStillPartitions) {
   for (int c : covered) EXPECT_EQ(c, 1);
 }
 
-struct RingCase {
-  int ring_len;
-  bool bidirectional;
-};
+// Payloads every collective case sweeps for a group of n: fewer elements
+// than ranks, a count that is not a multiple of n, and two larger ones.
+std::vector<std::int64_t> SweptPayloads(int n) {
+  return {n / 2, 3 * n + 1, 240, 4096};
+}
+
+// fp32 wire results are exact (integer-valued inputs); bf16 ones are within
+// the per-hop rounding of BFloat16WireApproximatesSum.
+::testing::AssertionResult MatchesSum(float got, float want, bool bf16) {
+  if (bf16 ? std::fabs(got - want) <= 0.3f : got == want) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << got << " vs " << want;
+}
+
+// A data-carrying run and its time-only twin (the same groups without data
+// pointers, on a fresh harness) must take the same time, move the same
+// traffic and process the same number of events.
+void ExpectSameAsTimeOnly(Harness& data, SimTime data_elapsed, Harness& bare,
+                          SimTime bare_elapsed) {
+  EXPECT_EQ(data_elapsed, bare_elapsed);
+  EXPECT_EQ(data.network().traffic().total_bytes(),
+            bare.network().traffic().total_bytes());
+  EXPECT_EQ(data.network().traffic().messages,
+            bare.network().traffic().messages);
+  EXPECT_EQ(data.simulator().events_processed(),
+            bare.simulator().events_processed());
+}
+
+// The group `order` on `h` without its data pointers.
+RingSpec TimeOnlySpec(Harness& h, const std::vector<topo::ChipId>& order) {
+  RingSpec spec = h.SpecFor(order);
+  spec.data.clear();
+  return spec;
+}
 
 class RingCollectiveTest
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(RingCollectiveTest, ReduceScatterProducesOwnedSums) {
   const auto [ring_len, bidir] = GetParam();
-  Harness h(1, ring_len, /*wrap_y=*/true, /*elems=*/240);
-  CollectiveOptions options;
-  options.bidirectional = bidir;
-
-  const auto ring = h.topo().RingAlong(topo::Dim::kY, 0);
-  std::vector<RingSpec> rings{h.SpecFor(ring)};
-  const SimTime elapsed = ReduceScatter(h.network(), rings, options);
-  if (ring_len > 1) {
-    EXPECT_GT(elapsed, 0.0);
-  }
-
-  for (int rank = 0; rank < ring_len; ++rank) {
-    for (const Range& owned :
-         OwnedAfterReduceScatter(Range{0, h.elems()}, ring_len, rank, options)) {
-      for (std::int64_t i = owned.begin; i < owned.end; ++i) {
-        EXPECT_EQ(h.buffer(ring[rank])[i], h.expected_sum()[i])
-            << "rank " << rank << " elem " << i;
+  for (const std::int64_t elems : SweptPayloads(ring_len)) {
+    for (const bool bf16 : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << elems << " elems, bf16 " << bf16);
+      CollectiveOptions options;
+      options.bidirectional = bidir;
+      options.bfloat16_wire = bf16;
+      Harness h(1, ring_len, /*wrap_y=*/true, elems);
+      if (bf16) h.FillUniform(99);
+      const auto ring = h.topo().RingAlong(topo::Dim::kY, 0);
+      const SimTime elapsed =
+          ReduceScatter(h.network(), {h.SpecFor(ring)}, options);
+      if (ring_len > 1 && elems > 0) {
+        EXPECT_GT(elapsed, 0.0);
       }
+      for (int rank = 0; rank < ring_len; ++rank) {
+        for (const Range& owned : OwnedAfterReduceScatter(
+                 Range{0, h.elems()}, ring_len, rank, options)) {
+          for (std::int64_t i = owned.begin; i < owned.end; ++i) {
+            ASSERT_TRUE(MatchesSum(h.buffer(ring[rank])[i],
+                                   h.expected_sum()[i], bf16))
+                << "rank " << rank << " elem " << i;
+          }
+        }
+      }
+      Harness twin(1, ring_len, /*wrap_y=*/true, elems);
+      const SimTime bare =
+          ReduceScatter(twin.network(), {TimeOnlySpec(twin, ring)}, options);
+      ExpectSameAsTimeOnly(h, elapsed, twin, bare);
     }
   }
 }
 
 TEST_P(RingCollectiveTest, AllReduceSumsEverywhere) {
   const auto [ring_len, bidir] = GetParam();
-  Harness h(1, ring_len, /*wrap_y=*/true, /*elems=*/240);
-  CollectiveOptions options;
-  options.bidirectional = bidir;
-
-  const auto ring = h.topo().RingAlong(topo::Dim::kY, 0);
-  std::vector<RingSpec> rings{h.SpecFor(ring)};
-  AllReduce(h.network(), rings, options);
-
-  for (topo::ChipId chip : ring) {
-    for (std::int64_t i = 0; i < h.elems(); ++i) {
-      ASSERT_EQ(h.buffer(chip)[i], h.expected_sum()[i])
-          << "chip " << chip << " elem " << i;
+  for (const std::int64_t elems : SweptPayloads(ring_len)) {
+    for (const bool bf16 : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << elems << " elems, bf16 " << bf16);
+      CollectiveOptions options;
+      options.bidirectional = bidir;
+      options.bfloat16_wire = bf16;
+      Harness h(1, ring_len, /*wrap_y=*/true, elems);
+      if (bf16) h.FillUniform(99);
+      const auto ring = h.topo().RingAlong(topo::Dim::kY, 0);
+      const SimTime elapsed =
+          AllReduce(h.network(), {h.SpecFor(ring)}, options);
+      for (topo::ChipId chip : ring) {
+        for (std::int64_t i = 0; i < h.elems(); ++i) {
+          ASSERT_TRUE(
+              MatchesSum(h.buffer(chip)[i], h.expected_sum()[i], bf16))
+              << "chip " << chip << " elem " << i;
+        }
+      }
+      Harness twin(1, ring_len, /*wrap_y=*/true, elems);
+      const SimTime bare =
+          AllReduce(twin.network(), {TimeOnlySpec(twin, ring)}, options);
+      ExpectSameAsTimeOnly(h, elapsed, twin, bare);
     }
   }
 }
@@ -386,26 +452,47 @@ TEST(OneDSummation, SnakeRingCorrectness) {
 }
 
 TEST(HalvingDoubling, ReduceScatterThenAllGatherSums) {
-  Harness h(8, 4, true, /*elems=*/64);
-  const std::vector<topo::ChipId> row =
-      h.topo().LineAlong(topo::Dim::kX, h.topo().ChipAt({0, 1}));
-  const std::vector<float> want = h.SumOver(row);
+  for (const int n : {1, 2, 4, 8, 16}) {
+    for (const std::int64_t elems : SweptPayloads(n)) {
+      for (const bool bf16 : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "group " << n << ", " << elems << " elems, bf16 "
+                     << bf16);
+        CollectiveOptions options;
+        options.bfloat16_wire = bf16;
+        // The group is row y=1 of an n x 2 slice.
+        Harness h(n, 2, true, elems);
+        if (bf16) h.FillUniform(99);
+        const std::vector<topo::ChipId> row =
+            h.topo().LineAlong(topo::Dim::kX, h.topo().ChipAt({0, 1}));
+        const std::vector<float> want = h.SumOver(row);
 
-  std::vector<RingSpec> groups{h.SpecFor(row)};
-  HdReduceScatter(h.network(), groups, CollectiveOptions{});
-  // After halving, rank r holds the summed natural chunk r.
-  for (std::size_t rank = 0; rank < row.size(); ++rank) {
-    const Range owned = HdOwnedAfterReduceScatter(
-        Range{0, h.elems()}, static_cast<int>(row.size()),
-        static_cast<int>(rank));
-    for (std::int64_t i = owned.begin; i < owned.end; ++i) {
-      ASSERT_EQ(h.buffer(row[rank])[i], want[i]) << "rank " << rank;
-    }
-  }
-  HdAllGather(h.network(), groups, CollectiveOptions{});
-  for (const topo::ChipId chip : row) {
-    for (std::int64_t i = 0; i < h.elems(); ++i) {
-      ASSERT_EQ(h.buffer(chip)[i], want[i]);
+        const SimTime rs =
+            HdReduceScatter(h.network(), {h.SpecFor(row)}, options);
+        // After halving, rank r holds the summed natural chunk r.
+        for (int rank = 0; rank < n; ++rank) {
+          const Range owned =
+              HdOwnedAfterReduceScatter(Range{0, h.elems()}, n, rank);
+          for (std::int64_t i = owned.begin; i < owned.end; ++i) {
+            ASSERT_TRUE(MatchesSum(h.buffer(row[rank])[i], want[i], bf16))
+                << "rank " << rank << " elem " << i;
+          }
+        }
+        const SimTime ag =
+            HdAllGather(h.network(), {h.SpecFor(row)}, options);
+        for (const topo::ChipId chip : row) {
+          for (std::int64_t i = 0; i < h.elems(); ++i) {
+            ASSERT_TRUE(MatchesSum(h.buffer(chip)[i], want[i], bf16))
+                << "chip " << chip << " elem " << i;
+          }
+        }
+        Harness twin(n, 2, true, elems);
+        const RingSpec bare = TimeOnlySpec(twin, row);
+        const SimTime bare_rs = HdReduceScatter(twin.network(), {bare}, options);
+        const SimTime bare_ag = HdAllGather(twin.network(), {bare}, options);
+        EXPECT_EQ(rs, bare_rs);
+        ExpectSameAsTimeOnly(h, ag, twin, bare_ag);
+      }
     }
   }
 }
@@ -432,14 +519,86 @@ TEST(HalvingDoubling, ExpectedPhaseSecondsLowerBoundsTheRun) {
     spec.range = Range{0, elems};
     groups.push_back(spec);
   }
-  const SimTime expected =
-      ExpectedHdPhaseSeconds(h.network(), groups, CollectiveOptions{});
-  const SimTime actual =
-      HdReduceScatter(h.network(), groups, CollectiveOptions{});
-  EXPECT_GT(expected, 0.0);
-  // The estimate ignores contention between concurrent exchanges, so it can
-  // only undershoot the simulated run.
-  EXPECT_LE(expected, actual * (1 + 1e-9));
+  // Halving, then doubling, each estimated at its own start with its own
+  // geometry. The estimate ignores contention between concurrent exchanges,
+  // so it can only undershoot the simulated run.
+  for (const CollectiveOp op :
+       {CollectiveOp::kReduceScatter, CollectiveOp::kAllGather}) {
+    const SimTime expected =
+        ExpectedPhaseSeconds(h.network(), Algorithm::kHalvingDoubling, op,
+                             groups, CollectiveOptions{});
+    const SimTime actual =
+        op == CollectiveOp::kReduceScatter
+            ? HdReduceScatter(h.network(), groups, CollectiveOptions{})
+            : HdAllGather(h.network(), groups, CollectiveOptions{});
+    EXPECT_GT(expected, 0.0);
+    EXPECT_LE(expected, actual * (1 + 1e-9));
+  }
+}
+
+// Bad groups fail loudly where every collective starts a group, whatever
+// the algorithm: an empty order, a data list of another length than the
+// order, a negative or an inverted range.
+void ExpectBadGroupsDie(Algorithm algorithm) {
+  Harness h(4, 2, true, /*elems=*/16);
+  const std::vector<topo::ChipId> row =
+      h.topo().LineAlong(topo::Dim::kX, h.topo().ChipAt({0, 0}));
+  auto run = [&](const RingSpec& group) {
+    algorithm == Algorithm::kRing
+        ? ReduceScatter(h.network(), {group}, CollectiveOptions{})
+        : HdReduceScatter(h.network(), {group}, CollectiveOptions{});
+  };
+  EXPECT_DEATH(run(RingSpec{}), "needs a member");
+  RingSpec short_data = h.SpecFor(row);
+  short_data.data.pop_back();
+  EXPECT_DEATH(run(short_data), "one data pointer per group member");
+  RingSpec negative = h.SpecFor(row);
+  negative.range = Range{-4, 8};
+  EXPECT_DEATH(run(negative), "negative range");
+  RingSpec inverted = h.SpecFor(row);
+  inverted.range = Range{8, 4};
+  EXPECT_DEATH(run(inverted), "inverted range");
+}
+
+TEST(RingCollectiveDeathTest, BadGroupsFailLoudly) {
+  ExpectBadGroupsDie(Algorithm::kRing);
+}
+
+TEST(HalvingDoublingDeathTest, BadGroupsFailLoudly) {
+  ExpectBadGroupsDie(Algorithm::kHalvingDoubling);
+  // Recursive halving pairs ranks by XOR, so the group must be a power of
+  // two; a ring of three is fine.
+  Harness h(3, 1, true, /*elems=*/16);
+  const RingSpec three =
+      h.SpecFor(h.topo().LineAlong(topo::Dim::kX, h.topo().ChipAt({0, 0})));
+  EXPECT_DEATH(HdReduceScatter(h.network(), {three}, CollectiveOptions{}),
+               "power-of-two group, got 3");
+  EXPECT_GT(ReduceScatter(h.network(), {three}, CollectiveOptions{}), 0.0);
+}
+
+// A bidirectional ring's counter-clockwise pass sends order[k+1] ->
+// order[k], so its phase estimate must price those links: backlogging only
+// them raises the bidirectional estimate and leaves the one-direction
+// (clockwise) estimate as it was.
+TEST(PhaseDeadline, BidirectionalEstimatePricesCounterClockwiseLinks) {
+  Harness h(1, 8, true, /*elems=*/4096);
+  const std::vector<topo::ChipId> ring =
+      h.topo().RingAlong(topo::Dim::kY, 0);
+  const std::vector<RingSpec> rings{TimeOnlySpec(h, ring)};
+  auto estimate = [&](bool bidirectional) {
+    CollectiveOptions options;
+    options.bidirectional = bidirectional;
+    return ExpectedPhaseSeconds(h.network(), Algorithm::kRing,
+                                CollectiveOp::kReduceScatter, rings, options);
+  };
+  const SimTime bidirectional = estimate(true);
+  const SimTime clockwise = estimate(false);
+  // Reserve the counter-clockwise links far ahead; the simulator never runs.
+  for (std::size_t k = 0; k < ring.size(); ++k) {
+    h.network().Send(ring[(k + 1) % ring.size()], ring[k], 64 * kMiB, [] {});
+  }
+  EXPECT_GT(estimate(true), bidirectional);
+  EXPECT_EQ(estimate(false), clockwise);
 }
 
 TEST(PhaseDeadline, DisabledByDefault) {
